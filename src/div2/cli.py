@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .dihedral import DihedralElt, ParityPoint
-from .divider import FinInstance, InstanceError, chi_trace, divide, matching_violation
+from .divider import FinInstance, InstanceError, _check_label, chi_trace, divide, matching_violation
 from .localrules import (
     LinearTail,
     LocalRule,
@@ -63,7 +63,7 @@ def _parse_matching(obj) -> dict:
     for pos, pair in enumerate(obj["pairs"]):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"pairs[{pos}]: expected [x, y], got {pair!r}")
-        x, y = pair
+        x, y = (_check_label(label, f"pairs[{pos}]") for label in pair)
         if x in matching:
             raise ValueError(f"pairs[{pos}]: {x!r} is matched twice")
         matching[x] = y

@@ -239,7 +239,8 @@ def divide(inst: FinInstance) -> dict:
             seen.add(phi(u))
         for j in range(0, len(orbit), 2):
             xe, ye = orbit[j], orbit[j + 1]
-            assert xe.side == X_SIDE and ye.side == Y_SIDE
+            if xe.side != X_SIDE or ye.side != Y_SIDE:
+                raise RuntimeError(f"cycle through {xe} does not alternate X and Y copies")
             matching[xe.label] = ye.label
     return dict(sorted(matching.items(), key=lambda kv: _label_key(kv[0])))
 

@@ -16,6 +16,10 @@ block ``[-N - k, N + k]`` it must fill (even cardinality) then contradicts
 bijectivity, so every rule fails at some threshold parameter.  The
 exhaustive search below confirms that concretely, with a collision or gap
 witness per rule, for every table within the guarded size limits.
+
+The search probes only the thresholds ``0`` and ``-1``: translating by 2
+conjugates threshold ``m`` into ``m + 2``, so every threshold fails as one of
+those two does, and they come first in the canonical probe order.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .dihedral import R, DihedralElt
-from .sequences import MINUS_INF, PLUS_INF, ZInf, fin
+from .sequences import MINUS_INF, ZInf, fin
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,6 @@ class WindowPattern:
     def is_all_one(self) -> bool:
         return self.cut == self.w + 1
 
-    def bits(self) -> tuple:
-        return tuple(1 if j < self.cut else 0 for j in range(-self.w, self.w + 1))
-
     def reflect_complement(self) -> "WindowPattern":
         """The window seen at ``-n`` by the reflected parameter; an involution."""
         return WindowPattern(self.w, 1 - self.cut)
@@ -81,20 +82,6 @@ class WindowPattern:
             except ValueError as exc:
                 raise ValueError(f"bad pattern name {name!r}: {exc}") from None
         raise ValueError(f"bad pattern name {name!r}: expected allzero, allone, or cut:P")
-
-    @classmethod
-    def from_bits(cls, bits) -> "WindowPattern":
-        bits = tuple(bits)
-        if len(bits) % 2 == 0 or not bits:
-            raise ValueError(f"window must have odd length 2w + 1, got {len(bits)} bits")
-        w = len(bits) // 2
-        cut = -w
-        while cut - (-w) < len(bits) and bits[cut + w] == 1:
-            cut += 1
-        pattern = cls(w, cut)
-        if pattern.bits() != bits:
-            raise ValueError(f"window {bits!r} is not decreasing")
-        return pattern
 
     @classmethod
     def from_zinf(cls, w: int, chi: ZInf, center: int) -> "WindowPattern":
@@ -154,11 +141,10 @@ class LocalRule:
             raise ValueError(f"the family is defined on even integers, got {n}")
         return n + self.offset(WindowPattern.from_zinf(self.w, chi, n))
 
-    def table(self) -> dict:
-        return {pat: self.offsets[pat.cut + self.w] for pat in all_patterns(self.w)}
-
     @classmethod
     def from_table(cls, w: int, table, d: int | None = None) -> "LocalRule":
+        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
+            raise ValueError(f"radius must be a non-negative integer, got {w!r}")
         entries: dict = {}
         for key, off in dict(table).items():
             if isinstance(key, WindowPattern):
@@ -173,6 +159,8 @@ class LocalRule:
                 raise ValueError(f"bad table key {key!r}")
             if pat.cut in entries:
                 raise ValueError(f"pattern {pat.name()} tabled twice")
+            if not isinstance(off, int) or isinstance(off, bool):
+                raise ValueError(f"offset for {pat.name()} must be an integer, got {off!r}")
             entries[pat.cut] = off
         missing = [pat.name() for pat in all_patterns(w) if pat.cut not in entries]
         if missing:
@@ -186,7 +174,7 @@ class LocalRule:
         return {
             "w": self.w,
             "d": self.d,
-            "table": {pat.name(): off for pat, off in self.table().items()},
+            "table": {pat.name(): self.offset(pat) for pat in all_patterns(self.w)},
         }
 
     @classmethod
@@ -209,9 +197,11 @@ def r_equivariance_witness(rule: LocalRule) -> WindowPattern | None:
     The induced family commutes with the reflection exactly when each
     pattern's reflect-complement is tabled with the negated offset.
     """
-    for pat in all_patterns(rule.w):
-        if rule.offset(pat.reflect_complement()) != -rule.offset(pat):
-            return pat
+    offsets = rule.offsets
+    for pos, off in enumerate(offsets):
+        # the reflect-complement of cut c is 1 - c, tabled at the mirrored position
+        if offsets[-1 - pos] != -off:
+            return WindowPattern(rule.w, pos - rule.w)
     return None
 
 
@@ -250,7 +240,8 @@ def naive_family_witness(delta: int = 1, chi: ZInf = fin(0), n: int = 0) -> Naiv
         raise ValueError(f"witness point must be even, got {n}")
     lhs = R.act_int(n) + delta
     rhs = R.act_int(n + delta)
-    assert lhs != rhs
+    if lhs == rhs:
+        raise RuntimeError(f"the shift by {delta} commutes with the reflection at n={n}")
     return NaiveWitness(R, chi, n, lhs, rhs)
 
 
@@ -341,11 +332,34 @@ class Gap:
     value: int
 
 
-def threshold_probes(w: int, d: int) -> list:
-    """The canonical parameter probes: both infinities, then thresholds by size."""
-    span = w + d + 2
-    finite = sorted(range(-span, span + 1), key=lambda m: (abs(m), m))
-    return [MINUS_INF, PLUS_INF] + [fin(m) for m in finite]
+def _first_failure(offsets, w: int, d: int, pad: int = 0):
+    """First failure at threshold 0 or -1, evaluating ``n + offsets[clamp(m - n) + w]``.
+
+    Returns ``(m, n1, n2, v)`` for a collision, ``(m, v)`` for a gap, or None.
+    """
+    reach = w + 2 * d + 4 + pad
+    span = w + d + 2 + pad
+    top = 2 * w + 1
+    for m in (0, -1):
+        images: dict = {}
+        for n in range(m - reach + (m - reach) % 2, m + reach + 1, 2):
+            c = m - n
+            v = n + offsets[top if c > w else c + w if c > -w else 0]
+            if v in images:
+                return (m, images[v], n, v)
+            images[v] = n
+        for v in range(m - span + 1 - (m - span) % 2, m + span + 1, 2):
+            if v not in images:
+                return (m, v)
+    return None
+
+
+def _witness(failure):
+    """The public Collision or Gap for a failure tuple from the kernel."""
+    if failure is None:
+        return None
+    m, *rest = failure
+    return Collision(fin(m), *rest) if len(rest) == 3 else Gap(fin(m), *rest)
 
 
 def bijectivity_witness(rule: LocalRule, pad: int = 0):
@@ -356,9 +370,11 @@ def bijectivity_witness(rule: LocalRule, pad: int = 0):
     (two displacements differ by at most ``2d``) and uncovered odd values
     within ``w + d + 2`` (beyond that the matching tail covers).  Scanning
     those finite windows therefore decides bijectivity exactly; ``pad``
-    widens both scans, which must never change the verdict.  Probes are
-    visited in canonical order and the first failure is returned, so the
-    witness is deterministic.  Raises NotReflectionEquivariant for rules
+    widens both scans, which must never change the verdict.  The canonical
+    probe order is ``-inf, +inf, 0, -1, 1, -2, 2, ...``: the infinities give
+    rigid shifts, and translating by 2 carries threshold ``m`` and its scan
+    windows onto ``m + 2``, so only ``0`` and then ``-1`` are scanned and the
+    first failure is returned.  Raises NotReflectionEquivariant for rules
     outside the hypothesis.
     """
     bad = r_equivariance_witness(rule)
@@ -366,61 +382,42 @@ def bijectivity_witness(rule: LocalRule, pad: int = 0):
         raise NotReflectionEquivariant(bad)
     if pad < 0:
         raise ValueError(f"pad must be non-negative, got {pad}")
-    for chi in threshold_probes(rule.w, rule.d):
-        if not chi.is_finite:
-            # constant parameter: every window is the same pattern and the
-            # family is the bijection n -> n + const
-            continue
-        m = chi.threshold
-        reach = rule.w + 2 * rule.d + 4 + pad
-        lo = m - reach if (m - reach) % 2 == 0 else m - reach + 1
-        images: dict = {}
-        for n in range(lo, m + reach + 1, 2):
-            v = rule.apply(chi, n)
-            if v in images:
-                return Collision(chi, images[v], n, v)
-            images[v] = n
-        span = rule.w + rule.d + 2 + pad
-        vlo = m - span if (m - span) % 2 != 0 else m - span + 1
-        for v in range(vlo, m + span + 1, 2):
-            if v not in images:
-                return Gap(chi, v)
-    return None
+    return _witness(_first_failure(rule.offsets, rule.w, rule.d, pad))
 
 
 def _odd_offsets(d: int) -> tuple:
     return tuple(k for k in range(-d, d + 1) if k % 2 != 0)
 
 
+def _equivariant_offsets(w: int, d: int, first: int | None = None):
+    """Offset tuples of the equivariant rules; see ``equivariant_rules``."""
+    offs = _odd_offsets(d)
+    for head in (first,) if first is not None else offs:
+        if head not in offs:
+            raise ValueError(f"bad slice offset {head!r}")
+        for rest in itertools.product(offs, repeat=w):
+            free = (head,) + rest
+            yield free + tuple(-k for k in reversed(free))
+
+
 def equivariant_rules(w: int, d: int, first: int | None = None):
     """All reflection-equivariant rules of radius ``w``, bound ``d``, lexicographically.
 
     The equivariance condition pairs each cut ``c`` with ``1 - c`` and forces
-    negated offsets, so the free choices sit exactly on cuts ``-w .. 0``.
+    negated offsets, so the free choices sit exactly on cuts ``-w .. 0`` and
+    the offsets at cuts ``1 .. w + 1`` are the free ones negated in reverse.
     Enumerating those ascending by offset yields the same order as filtering
     the full table space lexicographically.  Passing ``first`` fixes the
     offset at cut ``-w`` (used to slice the search).
     """
-    offs = _odd_offsets(d)
-    free = list(range(-w, 1))
-    heads = (first,) if first is not None else offs
-    for head in heads:
-        if head not in offs:
-            raise ValueError(f"bad slice offset {head!r}")
-        for rest in itertools.product(offs, repeat=len(free) - 1):
-            table = {}
-            for cut, off in zip(free, (head,) + rest):
-                table[cut] = off
-                table[1 - cut] = -off
-            yield LocalRule(w, d, tuple(table[c] for c in range(-w, w + 2)))
+    for offsets in _equivariant_offsets(w, d, first):
+        yield LocalRule(w, d, offsets)
 
 
 def iterate_verdicts(w: int, d: int, first: int | None = None):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
     for rule in equivariant_rules(w, d, first=first):
-        if r_equivariance_witness(rule) is not None:
-            continue
-        yield rule, bijectivity_witness(rule)
+        yield rule, _witness(_first_failure(rule.offsets, w, d))
 
 
 @dataclass(frozen=True)
@@ -455,11 +452,12 @@ def _slice_counts(args) -> tuple:
     w, d, head = args
     equivariant = collisions = gaps = 0
     survivors = []
-    for rule, witness in iterate_verdicts(w, d, first=head):
+    for offsets in _equivariant_offsets(w, d, head):
         equivariant += 1
-        if witness is None:
-            survivors.append(rule)
-        elif isinstance(witness, Collision):
+        failure = _first_failure(offsets, w, d)
+        if failure is None:
+            survivors.append(LocalRule(w, d, offsets))
+        elif len(failure) == 4:
             collisions += 1
         else:
             gaps += 1
@@ -478,10 +476,11 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     and scanned in worker processes; the merged report is identical to the
     single-process one.
     """
-    if not 0 <= w <= MAX_SEARCH_W:
-        raise ValueError(f"radius must be in [0, {MAX_SEARCH_W}] for the exhaustive search, got {w}")
-    if not 1 <= d <= MAX_SEARCH_D:
-        raise ValueError(f"bound must be in [1, {MAX_SEARCH_D}] for the exhaustive search, got {d}")
+    for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
+        if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+            raise ValueError(
+                f"{name} must be an integer in [{lo}, {hi}] for the exhaustive search, got {value!r}"
+            )
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
     offs = _odd_offsets(d)

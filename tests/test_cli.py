@@ -184,6 +184,17 @@ def test_verify_lemma_rejects_non_equivariant(tmp_path, capsys):
     assert "not reflection equivariant" in capsys.readouterr().err
 
 
+def test_verify_lemma_rejects_malformed_rules(tmp_path, capsys):
+    rule = write(tmp_path, "rule.json", {"w": "x", "table": {}})
+    assert main(["verify", "lemma", "--rule", rule]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: radius must be a non-negative integer")
+    rule = write(tmp_path, "float.json", {"w": 0, "table": {"allzero": 1.0, "allone": -1}})
+    assert main(["verify", "lemma", "--rule", rule]) == 2
+    assert "offset for allzero must be an integer, got 1.0" in capsys.readouterr().err
+
+
 # --- verify parity ---
 
 
@@ -255,6 +266,13 @@ def test_verify_matching_rejects_malformed_file(tmp_path, capsys):
     inst = write(tmp_path, "inst.json", TWO)
     ugly = write(tmp_path, "ugly.json", {"stuff": []})
     assert main(["verify", "matching", "--inst", inst, "--match", ugly]) == 2
+    capsys.readouterr()
+    for pair in ([["a"], "c"], ["a", {"c": 0}], [True, "c"]):
+        ugly = write(tmp_path, "ugly.json", {"pairs": [pair]})
+        assert main(["verify", "matching", "--inst", inst, "--match", ugly]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: pairs[0]: labels must be strings or integers")
 
 
 # --- argparse behaviour and the installed entry point ---

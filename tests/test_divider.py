@@ -218,6 +218,13 @@ def test_divide_always_verifies(size, rnd):
 # --- matching verification ---
 
 
+def test_divide_checks_sides_without_assert(monkeypatch):
+    # a walk that stays on the X side must raise, also under python -O
+    monkeypatch.setattr(FinInstance, "sigma", lambda self, z: phi(z))
+    with pytest.raises(RuntimeError, match="does not alternate"):
+        divide(TWO)
+
+
 def test_matching_violations_are_reported():
     assert matching_violation(TWO, {"a": "c", "b": "d"}) is None
     assert "unmatched" in matching_violation(TWO, {"a": "c"})

@@ -21,7 +21,6 @@ from div2.localrules import (
     naive_family_witness,
     parity_counts,
     r_equivariance_witness,
-    threshold_probes,
 )
 from div2.sequences import MINUS_INF, PLUS_INF, embed, fin
 
@@ -40,6 +39,31 @@ def brute_equivariant_offset_tuples(w, d):
         if all(combo[(1 - cut) + w] == -combo[cut + w] for cut in range(-w, w + 2)):
             out.append(combo)
     return out
+
+
+def canonical_probes(w, d):
+    """Both infinities, then every threshold ``|m| <= w + d + 2`` by size, negative first."""
+    span = w + d + 2
+    finite = sorted(range(-span, span + 1), key=lambda m: (abs(m), m))
+    return [MINUS_INF, PLUS_INF] + [fin(m) for m in finite]
+
+
+def reference_witness(rule):
+    """Independent route: scan every finite threshold in canonical order with ``rule.apply``."""
+    reach = rule.w + 2 * rule.d + 4
+    span = rule.w + rule.d + 2
+    for chi in canonical_probes(rule.w, rule.d)[2:]:
+        m = chi.threshold
+        images = {}
+        for n in range(m - reach + (m - reach) % 2, m + reach + 1, 2):
+            v = rule.apply(chi, n)
+            if v in images:
+                return Collision(chi, images[v], n, v)
+            images[v] = n
+        for v in range(m - span, m + span + 1):
+            if v % 2 != 0 and v not in images:
+                return Gap(chi, v)
+    return None
 
 
 def assert_witness_is_real(rule, witness):
@@ -62,10 +86,15 @@ def assert_witness_is_real(rule, witness):
 # --- window patterns ---
 
 
+def bits(pat):
+    """The window as a bit vector on ``[-w, w]``: ones strictly below the cut."""
+    return tuple(1 if j < pat.cut else 0 for j in range(-pat.w, pat.w + 1))
+
+
 def test_pattern_bits_and_extremes():
-    assert WindowPattern(1, -1).bits() == (0, 0, 0)
-    assert WindowPattern(1, 2).bits() == (1, 1, 1)
-    assert WindowPattern(1, 0).bits() == (1, 0, 0)
+    assert bits(WindowPattern(1, -1)) == (0, 0, 0)
+    assert bits(WindowPattern(1, 2)) == (1, 1, 1)
+    assert bits(WindowPattern(1, 0)) == (1, 0, 0)
     assert WindowPattern(1, -1).is_all_zero
     assert WindowPattern(1, 2).is_all_one
 
@@ -76,13 +105,14 @@ def test_pattern_count():
 
 
 def test_from_bits_round_trip_and_rejection():
+    # the patterns are exactly the decreasing windows, each once
     for w in range(3):
-        for pat in all_patterns(w):
-            assert WindowPattern.from_bits(pat.bits()) == pat
-    with pytest.raises(ValueError, match="not decreasing"):
-        WindowPattern.from_bits((0, 1, 0))
-    with pytest.raises(ValueError, match="odd length"):
-        WindowPattern.from_bits((0, 1))
+        windows = [bits(pat) for pat in all_patterns(w)]
+        vectors = itertools.product((0, 1), repeat=2 * w + 1)
+        decreasing = [b for b in vectors if list(b) == sorted(b, reverse=True)]
+        assert sorted(windows) == sorted(decreasing)
+        assert len(set(windows)) == len(windows)
+    assert (0, 1, 0) not in [bits(pat) for pat in all_patterns(1)]
 
 
 def test_reflect_complement_is_a_fixed_point_free_involution():
@@ -97,7 +127,7 @@ def test_reflect_complement_is_a_fixed_point_free_involution():
 def test_reflect_complement_matches_bitwise_definition():
     for w in range(4):
         for pat in all_patterns(w):
-            assert pat.reflect_complement().bits() == tuple(1 - b for b in reversed(pat.bits()))
+            assert bits(pat.reflect_complement()) == tuple(1 - b for b in reversed(bits(pat)))
 
 
 def test_pattern_names_parse_back():
@@ -123,7 +153,7 @@ def test_from_zinf_agrees_with_sequence_bits():
         chi = embed(fin(m))
         for center in range(-6, 7, 2):
             pat = WindowPattern.from_zinf(2, fin(m), center)
-            assert pat.bits() == tuple(chi.at(center + j) for j in range(-2, 3))
+            assert bits(pat) == tuple(chi.at(center + j) for j in range(-2, 3))
 
 
 # --- rules ---
@@ -160,7 +190,8 @@ def test_rule_table_and_offset():
     rule = LocalRule(1, 3, (1, 3, -3, -1))
     assert rule.offset(WindowPattern(1, -1)) == 1
     assert rule.offset(WindowPattern(1, 2)) == -1
-    assert rule.table()[WindowPattern(1, 0)] == 3
+    assert rule.offset(WindowPattern(1, 0)) == 3
+    assert rule.to_json()["table"] == {"allzero": 1, "cut:0": 3, "cut:1": -3, "allone": -1}
     with pytest.raises(ValueError, match="radius"):
         rule.offset(WindowPattern(2, 0))
 
@@ -182,6 +213,11 @@ def test_rule_json_validation():
         LocalRule.from_json({"w": 0, "table": {"allzero": 1, "cut:0": 1, "allone": -1}})
     with pytest.raises(ValueError, match="unknown rule fields"):
         LocalRule.from_json({"w": 0, "table": {"allzero": 1, "allone": -1}, "zz": 0})
+    for w in ("x", True, -1, 1.0):
+        with pytest.raises(ValueError, match="radius"):
+            LocalRule.from_json({"w": w, "table": {"allzero": 1, "allone": -1}})
+    with pytest.raises(ValueError, match="offset for allzero must be an integer, got 1.0"):
+        LocalRule.from_json({"w": 0, "table": {"allzero": 1.0, "allone": -1}})
 
 
 # --- reflection equivariance ---
@@ -199,7 +235,7 @@ def test_equivariant_table_condition_matches_pointwise_action():
     from div2.dihedral import R
 
     for rule in equivariant_rules(1, 3):
-        for chi in threshold_probes(1, 3):
+        for chi in canonical_probes(1, 3):
             for n in range(-8, 9, 2):
                 assert rule.apply(R.act_zinf(chi), -n) == -rule.apply(chi, n)
 
@@ -210,7 +246,7 @@ def test_non_equivariant_rule_violates_pointwise_somewhere():
     rule = LocalRule(0, 1, (1, 1))
     violations = [
         (chi, n)
-        for chi in threshold_probes(0, 1)
+        for chi in canonical_probes(0, 1)
         for n in range(-6, 7, 2)
         if rule.apply(R.act_zinf(chi), -n) != -rule.apply(chi, n)
     ]
@@ -244,6 +280,17 @@ def test_naive_family_does_commute_with_translation():
     for delta in (1, -1):
         for n in range(-6, 7, 2):
             assert (n + 2) + delta == (n + delta) + 2
+
+
+def test_naive_witness_check_survives_optimisation(monkeypatch):
+    # a shift commutes with the identity, so the witness check must raise,
+    # and not through an assert that python -O strips
+    import div2.localrules
+    from div2.dihedral import IDENTITY
+
+    monkeypatch.setattr(div2.localrules, "R", IDENTITY)
+    with pytest.raises(RuntimeError, match="commutes"):
+        naive_family_witness()
 
 
 def test_naive_witness_validation():
@@ -329,11 +376,13 @@ def test_bijectivity_requires_equivariance():
         bijectivity_witness(LocalRule(0, 1, (1, 1)))
 
 
-def test_probe_order_is_canonical():
-    probes = threshold_probes(0, 1)
-    assert probes[:3] == [MINUS_INF, PLUS_INF, fin(0)]
-    assert probes[3:7] == [fin(-1), fin(1), fin(-2), fin(2)]
-    assert len(probes) == 2 + 2 * (0 + 1 + 2) + 1
+def test_two_probe_witness_matches_a_scan_of_every_threshold():
+    for w in range(3):
+        for d in range(1, 8):
+            for rule in equivariant_rules(w, d):
+                expected = reference_witness(rule)
+                assert bijectivity_witness(rule) == expected
+                assert bijectivity_witness(rule, pad=3) == expected
 
 
 def test_witnesses_are_real_for_small_spaces():
@@ -366,6 +415,8 @@ def test_search_reports_golden_counts():
         (1, 5): (1296, 36, 24, 12),
         (2, 3): (4096, 64, 45, 19),
         (2, 7): (262144, 512, 387, 125),
+        (3, 7): (16777216, 4096, 3330, 766),
+        (4, 9): (10**10, 100_000, 86_535, 13_465),
     }
     for (w, d), (cands, equiv, coll, gaps) in expected.items():
         report = exhaustive_search(w, d)
@@ -390,6 +441,9 @@ def test_search_guards():
         exhaustive_search(0, 11)
     with pytest.raises(ValueError, match="jobs"):
         exhaustive_search(0, 1, jobs=0)
+    for w, d in ((True, 1), (1.0, 1), (0, True), (0, 1.0)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            exhaustive_search(w, d)
 
 
 def test_search_report_json_shape():
