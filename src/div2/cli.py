@@ -7,12 +7,21 @@ be impossible, 2 for malformed input of any kind.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
 
 from .dihedral import DihedralElt, ParityPoint
-from .divider import FinInstance, InstanceError, _check_label, chi_trace, divide, matching_violation
+from .divider import (
+    CopyElem,
+    FinInstance,
+    InstanceError,
+    _check_label,
+    chi_trace,
+    divide,
+    matching_violation,
+)
 from .localrules import (
     LinearTail,
     LocalRule,
@@ -35,12 +44,19 @@ def _parse_chi(text: str) -> BiSeq:
 
 
 def _load_json(path: str):
+    # parsed JSON holds no reference cycles, so the collections that a large
+    # file's many new containers would trigger find nothing
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not valid JSON: {exc}") from None
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _dump(payload) -> str:
@@ -132,8 +148,6 @@ def _cmd_trace(args) -> int:
     side = args.side
     labels = inst.xs if side == "X" else inst.ys
     label = _find_label(labels, args.label, side)
-    from .divider import CopyElem
-
     bits = chi_trace(inst, CopyElem(side, label, args.bit), args.lo, args.hi)
     if args.json:
         print(_dump({"label": label, "bit": args.bit, "lo": args.lo, "hi": args.hi, "bits": bits}))
@@ -162,8 +176,6 @@ def _cmd_divide(args) -> int:
             bit, lo, hi = (int(p) for p in parts[1:])
         except ValueError:
             raise ValueError(f"--trace wants integer bit,lo,hi, got {args.trace!r}") from None
-        from .divider import CopyElem
-
         bits = chi_trace(inst, CopyElem("X", label, bit), lo, hi)
         print(f"trace {label},{bit} on [{lo}, {hi}]: " + " ".join(str(b) for b in bits))
     return 0

@@ -162,9 +162,18 @@ class LocalRule:
             if not isinstance(off, int) or isinstance(off, bool):
                 raise ValueError(f"offset for {pat.name()} must be an integer, got {off!r}")
             entries[pat.cut] = off
-        missing = [pat.name() for pat in all_patterns(w) if pat.cut not in entries]
-        if missing:
-            raise ValueError(f"table is missing patterns: {missing}")
+        # cuts are distinct and in range, so a short table is an incomplete one;
+        # name only the first few gaps, so the work is bounded by the table
+        absent = 2 * w + 2 - len(entries)
+        if absent:
+            missing = []
+            cut = -w
+            while len(missing) < min(absent, 3):
+                if cut not in entries:
+                    missing.append(WindowPattern(w, cut).name())
+                cut += 1
+            more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
+            raise ValueError(f"table is missing patterns: {missing}{more}")
         offsets = tuple(entries[cut] for cut in range(-w, w + 2))
         if d is None:
             d = max(abs(off) for off in offsets)
@@ -304,13 +313,15 @@ def eventually_linear(rule: LocalRule):
 def parity_counts(tail: LinearTail) -> tuple:
     """Sizes of the central even block and the odd block its image must fill.
 
-    Counts the evens in ``[-N, N]`` and the odds in ``[-N - k, N + k]`` by
-    enumeration.  The first is always odd and the second always even, which
-    is the contradiction: a bijection cannot map the block onto its forced
-    image.
+    Counts the evens in ``[-N, N]`` and the odds in ``[-N - k, N + k]`` as
+    the lengths of step-2 ranges started on the right parity, in O(1).  The
+    first is always odd and the second always even, which is the
+    contradiction: a bijection cannot map the block onto its forced image.
     """
-    evens = [n for n in range(-tail.N, tail.N + 1) if n % 2 == 0]
-    odds = [v for v in range(-tail.N - tail.k, tail.N + tail.k + 1) if v % 2 != 0]
+    lo, hi = -tail.N, tail.N
+    evens = range(lo + lo % 2, hi + 1, 2)
+    lo, hi = -tail.N - tail.k, tail.N + tail.k
+    odds = range(lo + 1 - lo % 2, hi + 1, 2)
     return (len(evens), len(odds))
 
 

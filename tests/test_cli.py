@@ -1,10 +1,13 @@
+import gc
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from div2.cli import main
+from div2.cli import _load_json, main
+from div2.divider import CopyElem, FinInstance, sigma_orbits
 
 TWO = {
     "X": ["a", "b"],
@@ -132,6 +135,32 @@ def test_divide_rejects_malformed_instance(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
 
 
+def test_load_json_restores_gc_state(tmp_path):
+    good = write(tmp_path, "good.json", TWO)
+    broken = tmp_path / "broken.json"
+    broken.write_text("{not json")
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            assert _load_json(good) == TWO
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="not valid JSON"):
+                _load_json(str(broken))
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="nope.json"):
+                _load_json(str(tmp_path / "nope.json"))
+            assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
 def test_divide_rejects_unreadable_file(tmp_path, capsys):
     assert main(["divide", "--in", str(tmp_path / "nope.json")]) == 2
     path = tmp_path / "broken.json"
@@ -150,6 +179,32 @@ def test_trace_subcommand(tmp_path, capsys):
     ) == 0
     blob = json.loads(capsys.readouterr().out)
     assert blob["bits"] == [1, 0, 1]
+
+
+def test_trace_far_from_zero_reads_modulo_the_cycle(tmp_path, capsys):
+    # the cycle through (a, 0) has 6 copies with bits 0 1 1 1 0 0
+    six = {
+        "X": ["a", "b", "c"],
+        "Y": ["d", "e", "f"],
+        "map": [
+            [["a", 0], ["d", 0]],
+            [["a", 1], ["e", 0]],
+            [["b", 0], ["d", 1]],
+            [["b", 1], ["f", 0]],
+            [["c", 0], ["e", 1]],
+            [["c", 1], ["f", 1]],
+        ],
+    }
+    orbits = sigma_orbits(FinInstance.from_json(six))
+    period = [z.bit for z in next(o for o in orbits if o[0] == CopyElem("X", "a", 0))]
+    lo, hi = -100_000_000, -99_999_990
+    inst = write(tmp_path, "six.json", six)
+    start = time.perf_counter()
+    code = main(["trace", "--in", inst, "--label", "a", "--bit", "0", "--lo", str(lo), "--hi", str(hi)])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    expected = [period[k % len(period)] for k in range(lo, hi + 1)]
+    assert capsys.readouterr().out == " ".join(map(str, expected)) + "\n"
 
 
 def test_trace_unknown_label(tmp_path, capsys):
@@ -193,6 +248,14 @@ def test_verify_lemma_rejects_malformed_rules(tmp_path, capsys):
     rule = write(tmp_path, "float.json", {"w": 0, "table": {"allzero": 1.0, "allone": -1}})
     assert main(["verify", "lemma", "--rule", rule]) == 2
     assert "offset for allzero must be an integer, got 1.0" in capsys.readouterr().err
+    # the work and the message are bounded by the table, not by w
+    rule = write(tmp_path, "huge.json", {"w": 1_000_000_000, "table": {"allzero": 1}})
+    start = time.perf_counter()
+    assert main(["verify", "lemma", "--rule", rule]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert "missing patterns" in err and "1999999998 more" in err
+    assert len(err) < 200
 
 
 # --- verify parity ---

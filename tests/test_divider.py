@@ -218,11 +218,16 @@ def test_divide_always_verifies(size, rnd):
 # --- matching verification ---
 
 
-def test_divide_checks_sides_without_assert(monkeypatch):
-    # a walk that stays on the X side must raise, also under python -O
-    monkeypatch.setattr(FinInstance, "sigma", lambda self, z: phi(z))
+def test_divide_checks_sides_without_assert():
+    # a walk that meets two X copies in a row must raise, also under python -O;
+    # the corrupt swap pairs X copies (a, 0), (b, 0) and Y copies (c, 0), (d, 0)
+    # but stays an involution, so the walk still closes
+    inst = FinInstance(TWO.xs, TWO.ys, TWO.to_json()["map"])
+    swap = inst._swap
+    for u, v in ((0, 2), (4, 6)):
+        swap[u], swap[v] = v, u
     with pytest.raises(RuntimeError, match="does not alternate"):
-        divide(TWO)
+        divide(inst)
 
 
 def test_matching_violations_are_reported():

@@ -207,8 +207,11 @@ def test_rule_json_round_trip():
 
 
 def test_rule_json_validation():
-    with pytest.raises(ValueError, match="missing patterns"):
+    with pytest.raises(ValueError, match=r"missing patterns: \['cut:0', 'cut:1'\]$"):
         LocalRule.from_json({"w": 1, "table": {"allzero": 1, "allone": -1}})
+    few = r"missing patterns: \['allzero', 'cut:-2', 'cut:1'\] and 3 more$"
+    with pytest.raises(ValueError, match=few):
+        LocalRule.from_json({"w": 3, "table": {"cut:-1": 1, "cut:0": -1}})
     with pytest.raises(ValueError, match="tabled twice"):
         LocalRule.from_json({"w": 0, "table": {"allzero": 1, "cut:0": 1, "allone": -1}})
     with pytest.raises(ValueError, match="unknown rule fields"):
@@ -349,12 +352,15 @@ def test_parity_counts_goldens():
 
 
 def test_parity_counts_match_closed_form():
-    for N in range(2, 21, 2):
-        for k in range(-N + 1, N, 2):
-            evens, odds = parity_counts(LinearTail(k, N))
-            assert (evens, odds) == (N + 1, N + k + 1)
-            assert evens % 2 == 1
-            assert odds % 2 == 0
+    cases = [(k, N) for N in range(2, 21, 2) for k in range(-N + 1, N, 2)]
+    # counted, not listed: a bound of 2e9 costs no memory
+    big = 2_000_000_000
+    cases += [(k, big) for k in (1, -1, big - 1, 1 - big)]
+    for k, N in cases:
+        evens, odds = parity_counts(LinearTail(k, N))
+        assert (evens, odds) == (N + 1, N + k + 1)
+        assert evens % 2 == 1
+        assert odds % 2 == 0
 
 
 # --- bijectivity ---
