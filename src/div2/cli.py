@@ -18,6 +18,7 @@ from .divider import (
     FinInstance,
     InstanceError,
     _check_label,
+    _check_trace_range,
     chi_trace,
     divide,
     matching_violation,
@@ -144,6 +145,7 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    _check_trace_range(args.lo, args.hi)
     inst = FinInstance.from_json(_load_json(args.infile))
     side = args.side
     labels = inst.xs if side == "X" else inst.ys
@@ -158,6 +160,18 @@ def _cmd_trace(args) -> int:
 
 def _cmd_divide(args) -> int:
     inst = FinInstance.from_json(_load_json(args.infile))
+    if args.trace:
+        # the whole --trace spec is checked before the matching is printed
+        parts = args.trace.split(",")
+        if len(parts) != 4:
+            raise ValueError(f"--trace wants label,bit,lo,hi, got {args.trace!r}")
+        label = _find_label(inst.xs, parts[0].strip(), "X")
+        try:
+            bit, lo, hi = (int(p) for p in parts[1:])
+        except ValueError:
+            raise ValueError(f"--trace wants integer bit,lo,hi, got {args.trace!r}") from None
+        _check_trace_range(lo, hi)
+        z = CopyElem("X", label, bit)
     matching = divide(inst)
     payload = {"pairs": [[x, y] for x, y in matching.items()]}
     if args.out:
@@ -168,15 +182,7 @@ def _cmd_divide(args) -> int:
         for x, y in matching.items():
             print(f"{x} -> {y}")
     if args.trace:
-        parts = args.trace.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"--trace wants label,bit,lo,hi, got {args.trace!r}")
-        label = _find_label(inst.xs, parts[0].strip(), "X")
-        try:
-            bit, lo, hi = (int(p) for p in parts[1:])
-        except ValueError:
-            raise ValueError(f"--trace wants integer bit,lo,hi, got {args.trace!r}") from None
-        bits = chi_trace(inst, CopyElem("X", label, bit), lo, hi)
+        bits = chi_trace(inst, z, lo, hi)
         print(f"trace {label},{bit} on [{lo}, {hi}]: " + " ".join(str(b) for b in bits))
     return 0
 
@@ -367,6 +373,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(_join_chi_values(argv))
+    # argparse hands over "--opt=--" as an empty list, without type conversion
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument {name}: '--' is not a value")
     try:
         return args.func(args)
     except (InstanceError, NotReflectionEquivariant, ValueError) as exc:

@@ -19,7 +19,9 @@ directly; only the paths that need canonical order (``divide``,
 ``sigma_orbits``, ``to_json``) sort, and they sort the X labels alone.
 ``CopyElem`` is the type at the public boundary.  A trace walks the orbit
 once and reads iterate ``k`` at ``k mod len(orbit)``, so it costs
-O(cycle + (hi - lo)) however far from 0 ``lo`` lies.
+O(cycle + (hi - lo)) however far from 0 ``lo`` lies; its length
+``hi - lo + 1`` is capped at ``MAX_TRACE_LEN`` iterates, since the bits are
+returned as one list.
 """
 
 from __future__ import annotations
@@ -229,14 +231,25 @@ class FinInstance:
         return cls(obj["X"], obj["Y"], obj["map"])
 
 
+MAX_TRACE_LEN = 10**6
+
+
+def _check_trace_range(lo: int, hi: int) -> None:
+    if lo > hi:
+        raise ValueError(f"empty trace range: lo={lo} > hi={hi}")
+    if hi - lo >= MAX_TRACE_LEN:
+        raise ValueError(
+            f"trace range [{lo}, {hi}] has {hi - lo + 1} iterates, more than the limit of {MAX_TRACE_LEN}"
+        )
+
+
 def chi_trace(inst: FinInstance, z: CopyElem, lo: int, hi: int) -> list:
     """Copy bits along the forward orbit of ``z``, from iterate ``lo`` to ``hi``.
 
     Entry ``k - lo`` is the bit of the ``k``-th forward iterate of ``z``
-    (negative ``k`` steps backward).
+    (negative ``k`` steps backward).  At most ``MAX_TRACE_LEN`` iterates.
     """
-    if lo > hi:
-        raise ValueError(f"empty trace range: lo={lo} > hi={hi}")
+    _check_trace_range(lo, hi)
     # a backward walk first flips, so a foreign copy is named flipped, as sigma_inv names it
     c = inst._copy_id(z) if lo >= 0 else inst._copy_id(phi(z)) ^ 1
     orbit = inst._orbit(c)

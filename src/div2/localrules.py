@@ -20,12 +20,20 @@ witness per rule, for every table within the guarded size limits.
 The search probes only the thresholds ``0`` and ``-1``: translating by 2
 conjugates threshold ``m`` into ``m + 2``, so every threshold fails as one of
 those two does, and they come first in the canonical probe order.
+
+The exhaustive search also shares work between rules.  Which table position
+the threshold-0 scan reads at each point depends on ``w`` and ``d`` alone,
+never on the offsets, so the scan first reads the free offsets (those at
+cuts ``-w .. 0``) in one fixed order, ``f0, f1, f3, f4, f2`` for ``w = 4``.
+A collision found after reading only a prefix of that order is then the
+first failure of every rule extending the prefix, and the search counts all
+of those rules in one step instead of scanning each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .dihedral import R, DihedralElt
@@ -343,25 +351,64 @@ class Gap:
     value: int
 
 
-def _first_failure(offsets, w: int, d: int, pad: int = 0):
-    """First failure at threshold 0 or -1, evaluating ``n + offsets[clamp(m - n) + w]``.
+@functools.lru_cache(maxsize=64)
+def _scan_plan(w: int, d: int, pad: int) -> tuple:
+    """The probe scans at thresholds ``0`` and ``-1``, and the read order of threshold 0.
 
-    Returns ``(m, n1, n2, v)`` for a collision, ``(m, v)`` for a gap, or None.
+    Each probe is ``(m, runs, gaps)``.  ``runs`` lists, in scan order,
+    ``(ns, i)``: every even ``n`` in the range ``ns`` reads table position
+    ``i = clamp(m - n, -w, w + 1) + w``, so its family value is
+    ``n + table[i]`` (free offset ``min(i, 2w + 1 - i)``, negated when
+    ``i > w``).  Only the two tails are longer than one point, so ``pad``
+    widens both scans without growing the plan.  ``gaps`` are the odd values
+    the scan must cover.  ``order`` lists the free offsets in the order the
+    threshold-0 scan first reads them, and ``cuts[k]`` is the run where it
+    first reads ``order[k]``.
     """
     reach = w + 2 * d + 4 + pad
     span = w + d + 2 + pad
-    top = 2 * w + 1
+    probes = []
     for m in (0, -1):
-        images: dict = {}
-        for n in range(m - reach + (m - reach) % 2, m + reach + 1, 2):
-            c = m - n
-            v = n + offsets[top if c > w else c + w if c > -w else 0]
+        ns = range(m - reach + (m - reach) % 2, m + reach + 1, 2)
+        # position 2w + 1 for n < m - w and position 0 for n >= m + w
+        left, right = len(range(ns.start, m - w, 2)), len(range(ns.start, m + w, 2))
+        runs = [(ns[:left], 2 * w + 1)]
+        runs += [(ns[k:k + 1], m - ns[k] + w) for k in range(left, right)]
+        runs.append((ns[right:], 0))
+        probes.append((m, tuple(runs), range(m - span + 1 - (m - span) % 2, m + span + 1, 2)))
+    order, cuts = [], []
+    for pos, (_, i) in enumerate(probes[0][1]):
+        free = min(i, 2 * w + 1 - i)
+        if free not in order:
+            order.append(free)
+            cuts.append(pos)
+    return tuple(probes), tuple(order), tuple(cuts)
+
+
+def _scan(table, runs, gaps, images: dict):
+    """One probe's first failure: ``(n1, n2, v)`` for a collision, ``(v,)`` for a gap, or None.
+
+    ``images`` already holds the values of the points scanned before ``runs``.
+    """
+    for ns, i in runs:
+        offset = table[i]
+        for n in ns:
+            v = n + offset
             if v in images:
-                return (m, images[v], n, v)
+                return (images[v], n, v)
             images[v] = n
-        for v in range(m - span + 1 - (m - span) % 2, m + span + 1, 2):
-            if v not in images:
-                return (m, v)
+    for v in gaps:
+        if v not in images:
+            return (v,)
+    return None
+
+
+def _first_failure(table, probes):
+    """First failure at threshold 0 or -1: ``(m, n1, n2, v)``, ``(m, v)``, or None."""
+    for m, runs, gaps in probes:
+        failure = _scan(table, runs, gaps, {})
+        if failure is not None:
+            return (m, *failure)
     return None
 
 
@@ -393,22 +440,11 @@ def bijectivity_witness(rule: LocalRule, pad: int = 0):
         raise NotReflectionEquivariant(bad)
     if pad < 0:
         raise ValueError(f"pad must be non-negative, got {pad}")
-    return _witness(_first_failure(rule.offsets, rule.w, rule.d, pad))
+    return _witness(_first_failure(rule.offsets, _scan_plan(rule.w, rule.d, pad)[0]))
 
 
 def _odd_offsets(d: int) -> tuple:
     return tuple(k for k in range(-d, d + 1) if k % 2 != 0)
-
-
-def _equivariant_offsets(w: int, d: int, first: int | None = None):
-    """Offset tuples of the equivariant rules; see ``equivariant_rules``."""
-    offs = _odd_offsets(d)
-    for head in (first,) if first is not None else offs:
-        if head not in offs:
-            raise ValueError(f"bad slice offset {head!r}")
-        for rest in itertools.product(offs, repeat=w):
-            free = (head,) + rest
-            yield free + tuple(-k for k in reversed(free))
 
 
 def equivariant_rules(w: int, d: int, first: int | None = None):
@@ -419,16 +455,22 @@ def equivariant_rules(w: int, d: int, first: int | None = None):
     the offsets at cuts ``1 .. w + 1`` are the free ones negated in reverse.
     Enumerating those ascending by offset yields the same order as filtering
     the full table space lexicographically.  Passing ``first`` fixes the
-    offset at cut ``-w`` (used to slice the search).
+    offset at cut ``-w``.
     """
-    for offsets in _equivariant_offsets(w, d, first):
-        yield LocalRule(w, d, offsets)
+    offs = _odd_offsets(d)
+    for head in (first,) if first is not None else offs:
+        if head not in offs:
+            raise ValueError(f"bad slice offset {head!r}")
+        for rest in itertools.product(offs, repeat=w):
+            free = (head,) + rest
+            yield LocalRule(w, d, free + tuple(-k for k in reversed(free)))
 
 
 def iterate_verdicts(w: int, d: int, first: int | None = None):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
+    probes = _scan_plan(w, d, 0)[0]
     for rule in equivariant_rules(w, d, first=first):
-        yield rule, _witness(_first_failure(rule.offsets, w, d))
+        yield rule, _witness(_first_failure(rule.offsets, probes))
 
 
 @dataclass(frozen=True)
@@ -459,20 +501,51 @@ MAX_SEARCH_W = 4
 MAX_SEARCH_D = 9
 
 
-def _slice_counts(args) -> tuple:
-    w, d, head = args
-    equivariant = collisions = gaps = 0
+def _leaf_failure(table, images: dict, probes):
+    """The first failure of a rule whose threshold-0 points left no collision in ``images``."""
+    (_, _, gaps), (_, runs, minus_gaps) = probes
+    return _scan(table, (), gaps, images) or _scan(table, runs, minus_gaps, {})
+
+
+def _search_counts(w: int, d: int) -> tuple:
+    """``[equivariant, collisions, gaps]`` and the survivors of the ``(w, d)`` rule space.
+
+    A depth-first walk fixes the free offsets in the order the threshold-0
+    scan first reads them; each level scans the points up to the next
+    level's first read into a copy of its parent's image dict.  A collision
+    there is the first failure of every completion, so all of them are
+    counted at once.
+    """
+    offs = _odd_offsets(d)
+    probes, order, cuts = _scan_plan(w, d, 0)
+    runs = probes[0][1]
+    segments = [runs[a:b] for a, b in zip(cuts, cuts[1:] + (len(runs),))]
+    last = len(order) - 1
+    decided = [len(offs) ** (last - level) for level in range(last + 1)]
+    table = [0] * (2 * w + 2)
+    counts = [0, 0, 0]
     survivors = []
-    for offsets in _equivariant_offsets(w, d, head):
-        equivariant += 1
-        failure = _first_failure(offsets, w, d)
-        if failure is None:
-            survivors.append(LocalRule(w, d, offsets))
-        elif len(failure) == 4:
-            collisions += 1
-        else:
-            gaps += 1
-    return equivariant, collisions, gaps, survivors
+
+    def walk(level: int, parent: dict) -> None:
+        j, segment = order[level], segments[level]
+        for x in offs:
+            table[j], table[-1 - j] = x, -x
+            images = parent.copy()
+            if _scan(table, segment, (), images) is not None:
+                counts[0] += decided[level]
+                counts[1] += decided[level]
+            elif level < last:
+                walk(level + 1, images)
+            else:
+                counts[0] += 1
+                failure = _leaf_failure(table, images, probes)
+                if failure is None:
+                    survivors.append(LocalRule(w, d, tuple(table)))
+                else:
+                    counts[1 if len(failure) == 3 else 2] += 1
+
+    walk(0, {})
+    return counts, survivors
 
 
 def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
@@ -482,10 +555,9 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     counted in closed form and only its reflection-equivariant subspace is
     materialized, which loses nothing because every rule outside it fails
     the finite table condition the subspace is defined by.  Each surviving
-    candidate is then put through the exact bijectivity decision.  With
-    ``jobs > 1`` the space is split by the offset tabled at the lowest cut
-    and scanned in worker processes; the merged report is identical to the
-    single-process one.
+    candidate is then put through the exact bijectivity decision.  ``jobs``
+    must be a positive integer but does not change the run: inside the size
+    limits the whole search takes less time than starting a worker pool.
     """
     for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
         if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
@@ -494,16 +566,7 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
             )
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    offs = _odd_offsets(d)
-    candidates = len(offs) ** (2 * w + 2)
-    slices = [(w, d, head) for head in offs]
-    if jobs == 1:
-        parts = [_slice_counts(s) for s in slices]
-    else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(slices))) as pool:
-            parts = list(pool.map(_slice_counts, slices))
-    equivariant = sum(p[0] for p in parts)
-    collisions = sum(p[1] for p in parts)
-    gaps = sum(p[2] for p in parts)
-    survivors = sorted((r for p in parts for r in p[3]), key=lambda r: r.offsets)
+    (equivariant, collisions, gaps), survivors = _search_counts(w, d)
+    candidates = len(_odd_offsets(d)) ** (2 * w + 2)
+    survivors.sort(key=lambda r: r.offsets)
     return SearchReport(w, d, candidates, equivariant, collisions, gaps, tuple(survivors))

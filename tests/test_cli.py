@@ -7,7 +7,7 @@ import time
 import pytest
 
 from div2.cli import _load_json, main
-from div2.divider import CopyElem, FinInstance, sigma_orbits
+from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance, sigma_orbits
 
 TWO = {
     "X": ["a", "b"],
@@ -207,6 +207,39 @@ def test_trace_far_from_zero_reads_modulo_the_cycle(tmp_path, capsys):
     assert capsys.readouterr().out == " ".join(map(str, expected)) + "\n"
 
 
+def test_trace_ranges_past_the_limit_exit_two_at_once(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", TWO)
+    too_long = [
+        ["trace", "--in", inst, "--label", "a", "--bit", "0", "--lo", "0", "--hi", "300000000"],
+        ["trace", "--in", inst, "--label", "a", "--bit", "0", "--lo", "-5", "--hi", str(MAX_TRACE_LEN - 5)],
+        ["divide", "--in", inst, "--trace", "a,0,0,300000000"],
+        ["divide", "--in", inst, "--trace", f"a,0,{-10**30},{10**30}"],
+    ]
+    for argv in too_long:
+        start = time.perf_counter()
+        assert main(argv) == 2
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trace range [")
+        assert f"limit of {MAX_TRACE_LEN}" in captured.err
+
+
+def test_trace_range_at_the_limit_succeeds(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", TWO)
+    period = [z.bit for z in next(o for o in sigma_orbits(FinInstance.from_json(TWO)) if o[0] == CopyElem("X", "a", 0))]
+    lo, hi = 7, 7 + MAX_TRACE_LEN - 1
+    assert main(["trace", "--in", inst, "--label", "a", "--bit", "0", "--lo", str(lo), "--hi", str(hi)]) == 0
+    bits = capsys.readouterr().out.split()
+    assert len(bits) == MAX_TRACE_LEN
+    assert bits[:16] == [str(period[k % len(period)]) for k in range(lo, lo + 16)]
+    assert main(["divide", "--in", inst, "--trace", f"a,0,{-MAX_TRACE_LEN},-1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["a -> c", "b -> d"]
+    assert lines[2].startswith(f"trace a,0 on [{-MAX_TRACE_LEN}, -1]: ")
+    assert len(lines[2].split(": ")[1].split()) == MAX_TRACE_LEN
+
+
 def test_trace_unknown_label(tmp_path, capsys):
     inst = write(tmp_path, "inst.json", TWO)
     assert main(["trace", "--in", inst, "--label", "zz", "--bit", "0", "--lo", "0", "--hi", "1"]) == 2
@@ -345,6 +378,22 @@ def test_unknown_flag_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["theta", "--chi", "nbar:0", "--n", "0", "--i", "0", "--frob"])
     assert err.value.code == 2
+
+
+def test_double_dash_as_an_option_value_exits_two(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", TWO)
+    for argv in (
+        ["verify", "search", "--w=--", "--d", "1"],
+        ["trace", "--in", inst, "--label", "a", "--bit", "0", "--lo", "0", "--hi=--"],
+        ["trace", "--in", inst, "--label=--", "--bit", "0", "--lo", "0", "--hi", "1"],
+        ["theta", "--chi", "--", "--n", "0", "--i", "0"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'--' is not a value" in captured.err
 
 
 def test_missing_subcommand_exits_two():

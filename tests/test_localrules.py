@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from div2 import localrules
 from div2.localrules import (
     Collision,
     Gap,
@@ -373,7 +374,8 @@ def test_bijectivity_witness_goldens():
 
 def test_bijectivity_witness_is_stable_under_window_padding():
     for rule in equivariant_rules(1, 3):
-        assert bijectivity_witness(rule) == bijectivity_witness(rule, pad=6)
+        for pad in (6, 10**5):
+            assert bijectivity_witness(rule) == bijectivity_witness(rule, pad=pad)
     assert bijectivity_witness(RULE_GAP, pad=20) == Gap(fin(0), -1)
 
 
@@ -438,6 +440,53 @@ def test_search_never_finds_survivors():
 def test_parallel_search_report_is_identical():
     assert exhaustive_search(1, 5, jobs=2) == exhaustive_search(1, 5)
     assert exhaustive_search(0, 3, jobs=4) == exhaustive_search(0, 3)
+
+
+def per_rule_counts(w, d):
+    """Collision and gap witnesses counted rule by rule through ``iterate_verdicts``."""
+    collisions = gaps = 0
+    for _, witness in iterate_verdicts(w, d):
+        collisions += isinstance(witness, Collision)
+        gaps += isinstance(witness, Gap)
+    return collisions, gaps
+
+
+def test_prefix_search_counts_match_the_per_rule_path():
+    spaces = [(w, d) for w in range(4) for d in range(1, 10)] + [(4, 9)]
+    expected = {wd: per_rule_counts(*wd) for wd in spaces}
+    for jobs in (1, 2):
+        for (w, d), (collisions, gaps) in expected.items():
+            report = exhaustive_search(w, d, jobs=jobs)
+            assert (report.failed_collision, report.failed_gap) == (collisions, gaps), (w, d, jobs)
+            assert report.equivariant == collisions + gaps == len(odd_offsets(d)) ** (w + 1)
+            assert report.survivors == ()
+
+
+def test_forced_survivors_come_back_as_rules_in_offset_order(monkeypatch):
+    # rules whose threshold-0 scan has no collision reach the leaf probe;
+    # declaring some of them bijective must hand back exactly those rules
+    real = localrules._leaf_failure
+
+    def lenient(table, images, probes):
+        return None if table[0] in (-5, 3) else real(table, images, probes)
+
+    w, d = 3, 7
+    verdicts = list(iterate_verdicts(w, d))
+    forced = [
+        rule
+        for rule, witness in verdicts
+        if rule.offsets[0] in (-5, 3) and not (isinstance(witness, Collision) and witness.chi == fin(0))
+    ]
+    kept = [witness for rule, witness in verdicts if rule not in forced]
+    assert forced
+    monkeypatch.setattr(localrules, "_leaf_failure", lenient)
+    for jobs in (1, 2):
+        report = exhaustive_search(w, d, jobs=jobs)
+        assert all(isinstance(rule, LocalRule) for rule in report.survivors)
+        assert [rule.offsets for rule in report.survivors] == sorted(rule.offsets for rule in forced)
+        assert report.survivors == tuple(forced)
+        assert report.failed_collision == sum(isinstance(wit, Collision) for wit in kept)
+        assert report.failed_gap == sum(isinstance(wit, Gap) for wit in kept)
 
 
 def test_search_guards():
