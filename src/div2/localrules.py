@@ -149,22 +149,30 @@ class LocalRule:
             raise ValueError(f"the family is defined on even integers, got {n}")
         return n + self.offset(WindowPattern.from_zinf(self.w, chi, n))
 
+    def to_json(self) -> dict:
+        return {
+            "w": self.w,
+            "d": self.d,
+            "table": {pat.name(): self.offset(pat) for pat in all_patterns(self.w)},
+        }
+
     @classmethod
-    def from_table(cls, w: int, table, d: int | None = None) -> "LocalRule":
+    def from_json(cls, obj) -> "LocalRule":
+        if not isinstance(obj, dict):
+            raise ValueError(f"rule must be an object, got {type(obj).__name__}")
+        extra = set(obj) - {"w", "d", "table"}
+        if extra:
+            raise ValueError(f"unknown rule fields: {sorted(extra)}")
+        if "w" not in obj or "table" not in obj:
+            raise ValueError("rule needs fields w and table")
+        w, table, d = obj["w"], obj["table"], obj.get("d")
+        if not isinstance(table, dict):
+            raise ValueError("table must be an object mapping pattern names to offsets")
         if not isinstance(w, int) or isinstance(w, bool) or w < 0:
             raise ValueError(f"radius must be a non-negative integer, got {w!r}")
         entries: dict = {}
-        for key, off in dict(table).items():
-            if isinstance(key, WindowPattern):
-                pat = key
-                if pat.w != w:
-                    raise ValueError(f"pattern radius {pat.w} does not match rule radius {w}")
-            elif isinstance(key, str):
-                pat = WindowPattern.parse(w, key)
-            elif isinstance(key, int) and not isinstance(key, bool):
-                pat = WindowPattern(w, key)
-            else:
-                raise ValueError(f"bad table key {key!r}")
+        for name, off in table.items():
+            pat = WindowPattern.parse(w, name)
             if pat.cut in entries:
                 raise ValueError(f"pattern {pat.name()} tabled twice")
             if not isinstance(off, int) or isinstance(off, bool):
@@ -186,26 +194,6 @@ class LocalRule:
         if d is None:
             d = max(abs(off) for off in offsets)
         return cls(w, d, offsets)
-
-    def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "d": self.d,
-            "table": {pat.name(): self.offset(pat) for pat in all_patterns(self.w)},
-        }
-
-    @classmethod
-    def from_json(cls, obj) -> "LocalRule":
-        if not isinstance(obj, dict):
-            raise ValueError(f"rule must be an object, got {type(obj).__name__}")
-        extra = set(obj) - {"w", "d", "table"}
-        if extra:
-            raise ValueError(f"unknown rule fields: {sorted(extra)}")
-        if "w" not in obj or "table" not in obj:
-            raise ValueError("rule needs fields w and table")
-        if not isinstance(obj["table"], dict):
-            raise ValueError("table must be an object mapping pattern names to offsets")
-        return cls.from_table(obj["w"], obj["table"], obj.get("d"))
 
 
 def r_equivariance_witness(rule: LocalRule) -> WindowPattern | None:
@@ -321,16 +309,17 @@ def eventually_linear(rule: LocalRule):
 def parity_counts(tail: LinearTail) -> tuple:
     """Sizes of the central even block and the odd block its image must fill.
 
-    Counts the evens in ``[-N, N]`` and the odds in ``[-N - k, N + k]`` as
-    the lengths of step-2 ranges started on the right parity, in O(1).  The
-    first is always odd and the second always even, which is the
-    contradiction: a bijection cannot map the block onto its forced image.
+    Counts the evens in ``[-N, N]`` and the odds in ``[-N - k, N + k]`` in
+    O(1), for any size of ``N``.  The first is always odd and the second
+    always even, which is the contradiction: a bijection cannot map the
+    block onto its forced image.
     """
-    lo, hi = -tail.N, tail.N
-    evens = range(lo + lo % 2, hi + 1, 2)
-    lo, hi = -tail.N - tail.k, tail.N + tail.k
-    odds = range(lo + 1 - lo % 2, hi + 1, 2)
-    return (len(evens), len(odds))
+
+    def count(lo, hi, parity):
+        # the integers of this parity in [lo, hi], for hi >= lo - 1
+        return (hi - parity) // 2 - (lo - 1 - parity) // 2
+
+    return (count(-tail.N, tail.N, 0), count(-tail.N - tail.k, tail.N + tail.k, 1))
 
 
 @dataclass(frozen=True)
@@ -447,29 +436,23 @@ def _odd_offsets(d: int) -> tuple:
     return tuple(k for k in range(-d, d + 1) if k % 2 != 0)
 
 
-def equivariant_rules(w: int, d: int, first: int | None = None):
+def equivariant_rules(w: int, d: int):
     """All reflection-equivariant rules of radius ``w``, bound ``d``, lexicographically.
 
     The equivariance condition pairs each cut ``c`` with ``1 - c`` and forces
     negated offsets, so the free choices sit exactly on cuts ``-w .. 0`` and
     the offsets at cuts ``1 .. w + 1`` are the free ones negated in reverse.
     Enumerating those ascending by offset yields the same order as filtering
-    the full table space lexicographically.  Passing ``first`` fixes the
-    offset at cut ``-w``.
+    the full table space lexicographically.
     """
-    offs = _odd_offsets(d)
-    for head in (first,) if first is not None else offs:
-        if head not in offs:
-            raise ValueError(f"bad slice offset {head!r}")
-        for rest in itertools.product(offs, repeat=w):
-            free = (head,) + rest
-            yield LocalRule(w, d, free + tuple(-k for k in reversed(free)))
+    for free in itertools.product(_odd_offsets(d), repeat=w + 1):
+        yield LocalRule(w, d, free + tuple(-k for k in reversed(free)))
 
 
-def iterate_verdicts(w: int, d: int, first: int | None = None):
+def iterate_verdicts(w: int, d: int):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
     probes = _scan_plan(w, d, 0)[0]
-    for rule in equivariant_rules(w, d, first=first):
+    for rule in equivariant_rules(w, d):
         yield rule, _witness(_first_failure(rule.offsets, probes))
 
 

@@ -126,6 +126,11 @@ def test_divide_with_trace(tmp_path, capsys):
     assert main(["divide", "--in", inst, "--trace", "a,0,0,3"]) == 0
     out = capsys.readouterr().out
     assert "trace a,0 on [0, 3]:" in out
+    # under --json the trace is one more key of the object, as trace --json gives it
+    assert main(["divide", "--in", inst, "--trace", "a,0,0,3", "--json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert main(["trace", "--in", inst, "--label", "a", "--bit", "0", "--lo", "0", "--hi", "3", "--json"]) == 0
+    assert blob == {"pairs": [["a", "c"], ["b", "d"]], "trace": json.loads(capsys.readouterr().out)}
 
 
 def test_divide_rejects_malformed_instance(tmp_path, capsys):
@@ -139,6 +144,8 @@ def test_load_json_restores_gc_state(tmp_path):
     good = write(tmp_path, "good.json", TWO)
     broken = tmp_path / "broken.json"
     broken.write_text("{not json")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
     was_enabled = gc.isenabled()
     try:
         for enabled in (True, False):
@@ -154,6 +161,9 @@ def test_load_json_restores_gc_state(tmp_path):
             with pytest.raises(ValueError, match="nope.json"):
                 _load_json(str(tmp_path / "nope.json"))
             assert gc.isenabled() is enabled
+            with pytest.raises(ValueError, match="nested too deeply"):
+                _load_json(str(deep))
+            assert gc.isenabled() is enabled
     finally:
         if was_enabled:
             gc.enable()
@@ -167,6 +177,37 @@ def test_divide_rejects_unreadable_file(tmp_path, capsys):
     path.write_text("{not json")
     assert main(["divide", "--in", str(path)]) == 2
     assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_deep_or_undecodable_json_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"X": ["\xe9"]}')
+    nested = '{"left": ' + "[" * 100_000
+    cases = [
+        (["divide", "--in", str(deep)], f"error: {deep}: JSON nested too deeply"),
+        (["divide", "--in", str(latin)], f"error: {latin}: not valid JSON: 'utf-8' codec"),
+        (["act", "r", "--chi", nested], "error: --chi: JSON nested too deeply"),
+        (["theta", "--chi", nested, "--n", "0", "--i", "0"], "error: --chi: JSON nested too deeply"),
+        (["act", "r", "--chi", "{bad"], "error: --chi: not valid JSON"),
+    ]
+    for argv, message in cases:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert "Traceback" not in captured.err
+
+
+def test_divide_unwritable_out_exits_two(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", TWO)
+    missing = tmp_path / "missing" / "match.json"
+    for out, reason in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        assert main(["divide", "--in", inst, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {out}: {reason}\n"
 
 
 def test_trace_subcommand(tmp_path, capsys):
@@ -369,6 +410,33 @@ def test_verify_matching_rejects_malformed_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: pairs[0]: labels must be strings or integers")
+
+
+# --- --json ---
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["act", "rt", "4", "--chi", "nbar:1"],
+        ["theta", "--chi", "nbar:0", "--n", "0", "--i", "0"],
+        ["trace", "--in", "INST", "--label", "a", "--bit", "0", "--lo", "0", "--hi", "3"],
+        ["divide", "--in", "INST", "--trace", "a,0,0,3"],
+        ["verify", "lemma", "--rule", "RULE"],
+        ["verify", "parity", "--k", "1", "--N", "4"],
+        ["verify", "search", "--w", "1", "--d", "3"],
+        ["verify", "matching", "--inst", "INST", "--match", "MATCH"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]) if argv[0] == "verify" else argv[0],
+)
+def test_json_stdout_is_one_json_document(tmp_path, capsys, argv):
+    files = {
+        "INST": write(tmp_path, "inst.json", TWO),
+        "RULE": write(tmp_path, "rule.json", GAP_RULE),
+        "MATCH": write(tmp_path, "match.json", {"pairs": [["a", "c"], ["b", "d"]]}),
+    }
+    assert main([files.get(arg, arg) for arg in argv] + ["--json"]) == 0
+    assert isinstance(json.loads(capsys.readouterr().out), dict)
 
 
 # --- argparse behaviour and the installed entry point ---

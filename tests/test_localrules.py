@@ -215,6 +215,10 @@ def test_rule_json_validation():
         LocalRule.from_json({"w": 3, "table": {"cut:-1": 1, "cut:0": -1}})
     with pytest.raises(ValueError, match="tabled twice"):
         LocalRule.from_json({"w": 0, "table": {"allzero": 1, "cut:0": 1, "allone": -1}})
+    with pytest.raises(ValueError, match="pattern allzero tabled twice"):
+        LocalRule.from_json({"w": 1, "table": {"allzero": 1, "cut:-1": 1}})
+    with pytest.raises(ValueError, match="bad pattern name 'cut:9'"):
+        LocalRule.from_json({"w": 1, "table": {"cut:9": 1}})
     with pytest.raises(ValueError, match="unknown rule fields"):
         LocalRule.from_json({"w": 0, "table": {"allzero": 1, "allone": -1}, "zz": 0})
     for w in ("x", True, -1, 1.0):
@@ -357,6 +361,9 @@ def test_parity_counts_match_closed_form():
     # counted, not listed: a bound of 2e9 costs no memory
     big = 2_000_000_000
     cases += [(k, big) for k in (1, -1, big - 1, 1 - big)]
+    # past sys.maxsize, where the length of a range object overflows
+    huge = 10**30
+    cases += [(k, huge) for k in (1, -1, huge - 1, 1 - huge)]
     for k, N in cases:
         evens, odds = parity_counts(LinearTail(k, N))
         assert (evens, odds) == (N + 1, N + k + 1)

@@ -1,0 +1,20 @@
+"""Checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+import div2
+
+SOURCES = sorted(Path(div2.__file__).parent.glob("*.py"))
+
+
+def test_no_assert_statements_in_the_package():
+    # invariants must hold under python -O, which strips assert statements
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert SOURCES
+    assert found == []
