@@ -74,8 +74,14 @@ def _dump(payload) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _find_label(labels, text: str, side: str):
-    hits = [label for label in labels if str(label) == text]
+def _find_label(positions: dict, text: str, side: str):
+    """The label on one side that prints as ``text``: ``text`` itself or an int."""
+    candidates = [text]
+    try:
+        candidates.append(int(text))
+    except ValueError:  # not an integer, or past the int string conversion limit
+        pass
+    hits = [label for label in candidates if label in positions and str(label) == text]
     if not hits:
         raise ValueError(f"label {text!r} is not on the {side} side")
     if len(hits) > 1:
@@ -140,8 +146,7 @@ def _cmd_trace(args):
     _check_trace_range(args.lo, args.hi)
     inst = FinInstance.from_json(_load_json(args.infile))
     side = args.side
-    labels = inst.xs if side == "X" else inst.ys
-    label = _find_label(labels, args.label, side)
+    label = _find_label(inst._xpos if side == "X" else inst._ypos, args.label, side)
     bits = chi_trace(inst, CopyElem(side, label, args.bit), args.lo, args.hi)
     payload = {"label": label, "bit": args.bit, "lo": args.lo, "hi": args.hi, "bits": bits}
     return 0, payload, [" ".join(str(b) for b in bits)]
@@ -154,7 +159,7 @@ def _cmd_divide(args):
         parts = args.trace.split(",")
         if len(parts) != 4:
             raise ValueError(f"--trace wants label,bit,lo,hi, got {args.trace!r}")
-        label = _find_label(inst.xs, parts[0].strip(), "X")
+        label = _find_label(inst._xpos, parts[0].strip(), "X")
         try:
             bit, lo, hi = (int(p) for p in parts[1:])
         except ValueError:
@@ -162,7 +167,8 @@ def _cmd_divide(args):
         _check_trace_range(lo, hi)
         z = CopyElem("X", label, bit)
     matching = divide(inst)
-    payload = {"pairs": [[x, y] for x, y in matching.items()]}
+    # json.dumps writes the tuples as arrays
+    payload = {"pairs": list(matching.items())}
     if args.out:
         try:
             Path(args.out).write_text(_dump(payload) + "\n")

@@ -22,6 +22,9 @@ once and reads iterate ``k`` at ``k mod len(orbit)``, so it costs
 O(cycle + (hi - lo)) however far from 0 ``lo`` lies; its length
 ``hi - lo + 1`` is capped at ``MAX_TRACE_LEN`` iterates, since the bits are
 returned as one list.
+
+Validation accepts a valid instance in one pass, ``_accept``, that writes no
+message; only when it declines does ``_check`` run, to name the first fault.
 """
 
 from __future__ import annotations
@@ -64,6 +67,96 @@ def _check_label(label, where: str) -> Label:
     return label
 
 
+_LABEL_TYPES = frozenset((str, int))  # exactly: True and 1.0 would find the position of 1
+_PAIR_TYPES = frozenset((list, tuple))
+_BIT = {0: 0, 1: 1}  # True and 1.0 hash and compare equal to 1, as the checker allows
+
+
+def _accept(xs: tuple, ys: tuple, pairs: list):
+    """``(xpos, ypos, swap)`` of a valid instance, or None; never a message."""
+    n = len(xs)
+    if len(ys) != n or len(pairs) != 2 * n:
+        return None
+    if not set(map(type, xs)) | set(map(type, ys)) <= _LABEL_TYPES:
+        return None
+    xpos = dict(zip(xs, range(n)))
+    ypos = dict(zip(ys, range(n)))
+    if len(xpos) != n or len(ypos) != n:
+        return None
+    two_n = 2 * n
+    swap = [-1] * (2 * two_n)
+    try:
+        for entry in pairs:
+            # exact list or tuple before unpacking, so no foreign __iter__ runs
+            if type(entry) not in _PAIR_TYPES:
+                return None
+            src, tgt = entry
+            if type(src) not in _PAIR_TYPES or type(tgt) not in _PAIR_TYPES:
+                return None
+            (x, b), (y, c) = src, tgt
+            if type(x) not in _LABEL_TYPES or type(y) not in _LABEL_TYPES:
+                return None
+            a = 2 * xpos[x] + _BIT[b]
+            z = two_n + 2 * ypos[y] + _BIT[c]
+            if swap[a] >= 0 or swap[z] >= 0:
+                return None
+            swap[a] = z
+            swap[z] = a
+    except (TypeError, ValueError, KeyError):  # a bad shape, an unhashable bit or a missing key
+        return None
+    return xpos, ypos, swap
+
+
+def _check(xs: tuple, ys: tuple, pairs: list):
+    """``(xpos, ypos, swap)``, also with int or str subclass labels; else InstanceError."""
+    xpos = _check_side(xs, "X")
+    ypos = _check_side(ys, "Y")
+    if len(xs) != len(ys):
+        raise InstanceError(f"|X| = {len(xs)} but |Y| = {len(ys)}: the copy map cannot be a bijection")
+    two_n = 2 * len(xs)
+    swap = [-1] * (2 * two_n)
+    for pos, entry in enumerate(pairs):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise InstanceError(f"map entry {pos}: expected [source, target], got {entry!r}")
+        for role, end in (("source", entry[0]), ("target", entry[1])):
+            if not isinstance(end, (list, tuple)) or len(end) != 2:
+                raise InstanceError(f"map entry {pos}: {role} must be a [label, bit] pair, got {end!r}")
+            _check_label(end[0], f"map entry {pos} ({role})")
+            if end[1] not in (0, 1):
+                raise InstanceError(f"map entry {pos}: {role} bit must be 0 or 1, got {end[1]!r}")
+        (x, b), (y, c) = entry
+        i = xpos.get(x)
+        if i is None:
+            raise InstanceError(f"map entry {pos}: source label {x!r} is not in X")
+        j = ypos.get(y)
+        if j is None:
+            raise InstanceError(f"map entry {pos}: target label {y!r} is not in Y")
+        a = 2 * i + (1 if b else 0)
+        z = two_n + 2 * j + (1 if c else 0)
+        if swap[a] >= 0:
+            raise InstanceError(f"map entry {pos}: source {(x, b)!r} already mapped")
+        if swap[z] >= 0:
+            hit = (xs[swap[z] >> 1], swap[z] & 1)
+            raise InstanceError(f"map entry {pos}: target {(y, c)!r} already hit from {hit!r}")
+        swap[a] = z
+        swap[z] = a
+    if len(pairs) != two_n:
+        a = swap.index(-1)
+        raise InstanceError(f"copy ({xs[a >> 1]!r}, {a & 1}) of X has no image")
+    return xpos, ypos, swap
+
+
+def _check_side(labels: tuple, side: str) -> dict:
+    """Validate one side's labels; return each label's position."""
+    seen: dict = {}
+    for pos, label in enumerate(labels):
+        _check_label(label, f"{side}[{pos}]")
+        if label in seen:
+            raise InstanceError(f"{side}[{pos}]: duplicate label {label!r} (first at {seen[label]})")
+        seen[label] = pos
+    return seen
+
+
 @dataclass(frozen=True)
 class CopyElem:
     """One copy of a label: a side, the label, and the copy bit."""
@@ -93,70 +186,16 @@ class FinInstance:
 
     Validation is eager and total: duplicate labels, size mismatches, and
     any failure of the copy map to be a bijection from X x {0,1} onto
-    Y x {0,1} raise InstanceError naming the offending entry.
+    Y x {0,1} raise InstanceError naming the offending entry.  ``_accept``
+    only accepts, and ``_check`` names the fault whenever it declines.
     """
 
     def __init__(self, xs: Iterable[Label], ys: Iterable[Label], mapping):
         self.xs = tuple(xs)
         self.ys = tuple(ys)
-        xpos = self._check_side(self.xs, "X")
-        ypos = self._check_side(self.ys, "Y")
-        if len(self.xs) != len(self.ys):
-            raise InstanceError(
-                f"|X| = {len(self.xs)} but |Y| = {len(self.ys)}: the copy map cannot be a bijection"
-            )
         pairs = list(mapping.items()) if isinstance(mapping, dict) else list(mapping)
-        two_n = 2 * len(self.xs)
-        swap = [-1] * (2 * two_n)
-        for pos, entry in enumerate(pairs):
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                raise InstanceError(f"map entry {pos}: expected [source, target], got {entry!r}")
-            for role, end in (("source", entry[0]), ("target", entry[1])):
-                if not isinstance(end, (list, tuple)) or len(end) != 2:
-                    raise InstanceError(
-                        f"map entry {pos}: {role} must be a [label, bit] pair, got {end!r}"
-                    )
-                # test inline and let _check_label raise, so no message is built per entry
-                if isinstance(end[0], bool) or not isinstance(end[0], (str, int)):
-                    _check_label(end[0], f"map entry {pos} ({role})")
-                if end[1] not in (0, 1):
-                    raise InstanceError(
-                        f"map entry {pos}: {role} bit must be 0 or 1, got {end[1]!r}"
-                    )
-            (x, b), (y, c) = entry
-            i = xpos.get(x)
-            if i is None:
-                raise InstanceError(f"map entry {pos}: source label {x!r} is not in X")
-            j = ypos.get(y)
-            if j is None:
-                raise InstanceError(f"map entry {pos}: target label {y!r} is not in Y")
-            a = 2 * i + (1 if b else 0)
-            z = two_n + 2 * j + (1 if c else 0)
-            if swap[a] >= 0:
-                raise InstanceError(f"map entry {pos}: source {(x, b)!r} already mapped")
-            if swap[z] >= 0:
-                hit = (self.xs[swap[z] >> 1], swap[z] & 1)
-                raise InstanceError(f"map entry {pos}: target {(y, c)!r} already hit from {hit!r}")
-            swap[a] = z
-            swap[z] = a
-        if len(pairs) != two_n:
-            a = swap.index(-1)
-            raise InstanceError(f"copy ({self.xs[a >> 1]!r}, {a & 1}) of X has no image")
-        self._xpos = xpos
-        self._ypos = ypos
-        self._swap = swap
-
-    @staticmethod
-    def _check_side(labels: tuple, side: str) -> dict:
-        """Validate one side's labels; return each label's position."""
-        seen: dict = {}
-        for pos, label in enumerate(labels):
-            if isinstance(label, bool) or not isinstance(label, (str, int)):
-                _check_label(label, f"{side}[{pos}]")
-            if label in seen:
-                raise InstanceError(f"{side}[{pos}]: duplicate label {label!r} (first at {seen[label]})")
-            seen[label] = pos
-        return seen
+        built = _accept(self.xs, self.ys, pairs) or _check(self.xs, self.ys, pairs)
+        self._xpos, self._ypos, self._swap = built
 
     def __len__(self) -> int:
         return len(self.xs)

@@ -287,6 +287,43 @@ def test_trace_unknown_label(tmp_path, capsys):
     assert "not on the X side" in capsys.readouterr().err
 
 
+INT_LABELS = {
+    "X": [1, 10, 0, "x", "01"],
+    "Y": [2, 3, 4, 5, 6],
+    "map": [[[x, b], [y, b]] for x, y in zip([1, 10, 0, "x", "01"], [2, 3, 4, 5, 6]) for b in (0, 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1", "10", "0", "x", "01", "-0", " 1", "1_0", "+1", "\u0661", "9" * 5000, "zz"],
+    ids=lambda text: text if len(text) < 10 else f"{len(text)}-digits",
+)
+def test_trace_label_is_the_one_that_prints_as_the_text(tmp_path, capsys, text):
+    # the label is found by lookup; a scan of every label's str() is the reference
+    inst = write(tmp_path, "inst.json", INT_LABELS)
+    hits = [label for label in INT_LABELS["X"] if str(label) == text]
+    code = main(["trace", "--in", inst, "--label", text, "--bit", "0", "--lo", "0", "--hi", "1", "--json"])
+    captured = capsys.readouterr()
+    if hits:
+        assert code == 0
+        assert json.loads(captured.out)["label"] == hits[0]
+    else:
+        assert code == 2
+        assert captured.err == f"error: label {text!r} is not on the X side\n"
+
+
+def test_trace_label_that_prints_as_two_labels_is_ambiguous(tmp_path, capsys):
+    inst = write(tmp_path, "inst.json", {
+        "X": [1, "1"], "Y": [1, "1"], "map": [[[x, b], [x, b]] for x in (1, "1") for b in (0, 1)],
+    })
+    for side in ("X", "Y"):
+        assert main(["trace", "--in", inst, "--label", "1", "--bit", "0", "--lo", "0", "--hi", "1", "--side", side]) == 2
+        assert capsys.readouterr().err == f"error: label '1' is ambiguous on the {side} side\n"
+    assert main(["divide", "--in", inst, "--trace", "1,0,0,1"]) == 2
+    assert capsys.readouterr().err == "error: label '1' is ambiguous on the X side\n"
+
+
 # --- verify lemma ---
 
 

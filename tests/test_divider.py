@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from div2 import divider
 from div2.divider import (
     CopyElem,
     FinInstance,
@@ -83,6 +85,225 @@ def test_rejects_unknown_labels_and_bad_bits():
         FinInstance(["x"], ["y"], [(("x", 0), ("y", 2)), (("x", 1), ("y", 1))])
     with pytest.raises(InstanceError, match="labels must be"):
         FinInstance([("x",)], [("y",)], [])
+
+
+# Every InstanceError message pinned in full, as the checker wrote it before the
+# acceptance pass existed: the malformed cases above, the further cases checked
+# when copies became integer ids, and what the acceptance pass must decline.
+MALFORMED = [
+    pytest.param(["a", "a"], ["c", "d"], [], "X[1]: duplicate label 'a' (first at 0)", id="duplicate-x"),
+    pytest.param(["a"], ["c", "d"], [], "|X| = 1 but |Y| = 2: the copy map cannot be a bijection", id="size-mismatch"),
+    pytest.param(["x"], ["y"], [(("x", 0), ("y", 0))], "copy ('x', 1) of X has no image", id="no-image"),
+    pytest.param(
+        ["x"], ["y"], [(("x", 0), ("y", 0)), (("x", 0), ("y", 1))],
+        "map entry 1: source ('x', 0) already mapped", id="already-mapped",
+    ),
+    pytest.param(
+        ["x"], ["y"], [(("x", 0), ("y", 0)), (("x", 1), ("y", 0))],
+        "map entry 1: target ('y', 0) already hit from ('x', 0)", id="already-hit",
+    ),
+    pytest.param(
+        ["x"], ["y"], [(("z", 0), ("y", 0)), (("x", 1), ("y", 1))],
+        "map entry 0: source label 'z' is not in X", id="source-not-in-x",
+    ),
+    pytest.param(
+        ["x"], ["y"], [(("x", 0), ("z", 0)), (("x", 1), ("y", 1))],
+        "map entry 0: target label 'z' is not in Y", id="target-not-in-y",
+    ),
+    pytest.param(
+        ["x"], ["y"], [(("x", 0), ("y", 2)), (("x", 1), ("y", 1))],
+        "map entry 0: target bit must be 0 or 1, got 2", id="bad-target-bit",
+    ),
+    pytest.param([("x",)], [("y",)], [], "X[0]: labels must be strings or integers, got ('x',)", id="tuple-label"),
+    # the further cases
+    pytest.param(
+        ["x"], ["y"], [5, [["x", 1], ["y", 1]]],
+        "map entry 0: expected [source, target], got 5", id="entry-not-a-list",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x", 0], ["y", 0], ["y", 1]], [["x", 1], ["y", 1]]],
+        "map entry 0: expected [source, target], got [['x', 0], ['y', 0], ['y', 1]]", id="entry-of-three",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x"], ["y", 0]], [["x", 1], ["y", 1]]],
+        "map entry 0: source must be a [label, bit] pair, got ['x']", id="source-not-a-pair",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x", 0], 7], [["x", 1], ["y", 1]]],
+        "map entry 0: target must be a [label, bit] pair, got 7", id="target-not-a-pair",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x", 0], ["y", 0]], [["x", 1], ["y", 1]], [["x", 0], ["y", 1]]],
+        "map entry 2: source ('x', 0) already mapped", id="surplus-entry",
+    ),
+    pytest.param(
+        [0, "0"], [1, "1"], [[[0, 0], [1, 0]], [["0", 0], [1, 0]]],
+        "map entry 1: target (1, 0) already hit from (0, 0)", id="mixed-type-collision",
+    ),
+    pytest.param([True], ["y"], [], "X[0]: labels must be strings or integers, got True", id="bool-x-label"),
+    pytest.param(["x"], [None], [], "Y[0]: labels must be strings or integers, got None", id="none-y-label"),
+    pytest.param(
+        ["x"], ["y"], [[[None, 0], ["y", 0]], [["x", 1], ["y", 1]]],
+        "map entry 0 (source): labels must be strings or integers, got None", id="none-map-label",
+    ),
+    # what the acceptance pass must decline: labels that hash equal to a label
+    # of X or Y, ends that unpack but are not lists or tuples, repeated copies
+    pytest.param(
+        [1], [2], [[[True, 0], [2, 0]], [[1, 1], [2, 1]]],
+        "map entry 0 (source): labels must be strings or integers, got True", id="true-source-label",
+    ),
+    pytest.param(
+        [1], [2], [[[1.0, 0], [2, 0]], [[1, 1], [2, 1]]],
+        "map entry 0 (source): labels must be strings or integers, got 1.0", id="float-source-label",
+    ),
+    pytest.param(
+        [2], [1], [[[2, 0], [1, 0]], [[2, 1], [True, 1]]],
+        "map entry 1 (target): labels must be strings or integers, got True", id="true-target-label",
+    ),
+    pytest.param([1.0], [2], [], "X[0]: labels must be strings or integers, got 1.0", id="float-x-label"),
+    pytest.param(
+        [1], [2], [{(1, 0), (2, 0)}, [[1, 1], [2, 1]]],
+        "map entry 0: expected [source, target], got {(1, 0), (2, 0)}", id="set-entry",
+    ),
+    pytest.param(
+        ["x"], ["y"], ["xy", [["x", 1], ["y", 1]]],
+        "map entry 0: expected [source, target], got 'xy'", id="string-entry",
+    ),
+    pytest.param(
+        [0], [2], [[{0, 1}, [2, 0]], [[0, 0], [2, 1]]],
+        "map entry 0: source must be a [label, bit] pair, got {0, 1}", id="set-source",
+    ),
+    pytest.param(
+        ["x"], ["y"], [["x0", ["y", 0]], [["x", 1], ["y", 1]]],
+        "map entry 0: source must be a [label, bit] pair, got 'x0'", id="string-source",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x", 0], "y0"], [["x", 1], ["y", 1]]],
+        "map entry 0: target must be a [label, bit] pair, got 'y0'", id="string-target",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x", -1], ["y", 0]], [["x", 1], ["y", 1]]],
+        "map entry 0: source bit must be 0 or 1, got -1", id="bad-source-bit",
+    ),
+    pytest.param(
+        ["x"], ["y"], [[["x", 0], ["y", "1"]], [["x", 1], ["y", 0]]],
+        "map entry 0: target bit must be 0 or 1, got '1'", id="string-bit",
+    ),
+    pytest.param(
+        ["a", "b"], ["c", "d"],
+        [[["a", 0], ["c", 0]], [["a", 1], ["d", 1]], [["b", 0], ["c", 0]], [["b", 1], ["c", 1]]],
+        "map entry 2: target ('c', 0) already hit from ('a', 0)", id="repeated-target",
+    ),
+    pytest.param(
+        ["a", "b"], ["c", "d"],
+        [[["a", 1], ["c", 1]], [["a", 0], ["d", 1]], [["b", 0], ["c", True]], [["b", 1], ["c", 0]]],
+        "map entry 2: target ('c', True) already hit from ('a', 1)", id="repeated-target-true-bit",
+    ),
+    pytest.param(["a", "b"], ["c", "c"], [], "Y[1]: duplicate label 'c' (first at 0)", id="duplicate-y"),
+    pytest.param(
+        ["a", "b"], ["c", "d"], [[["a", 0], ["c", 0]], [["a", 1], ["d", 1]], [["b", 0], ["d", 0]]],
+        "copy ('b', 1) of X has no image", id="missing-entry",
+    ),
+]
+
+MALFORMED_JSON = [
+    pytest.param({"X": [], "Y": []}, "missing instance fields: ['map']", id="missing-map"),
+    pytest.param([1, 2], "instance must be an object, got list", id="not-an-object"),
+    pytest.param({"X": [], "Y": [], "map": [], "extra": 1}, "unknown instance fields: ['extra']", id="unknown-field"),
+    pytest.param({"X": "ab", "Y": [], "map": []}, "X and Y must be arrays of labels", id="x-not-an-array"),
+    pytest.param({"X": [], "Y": [], "map": {}}, "map must be an array of [source, target] pairs", id="map-not-an-array"),
+    pytest.param({}, "missing instance fields: ['X', 'Y', 'map']", id="no-fields"),
+    pytest.param(None, "instance must be an object, got NoneType", id="null"),
+]
+
+
+@pytest.mark.parametrize("xs, ys, mapping, message", MALFORMED)
+def test_instance_error_messages_are_pinned(xs, ys, mapping, message):
+    with pytest.raises(InstanceError) as info:
+        FinInstance(xs, ys, mapping)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("obj, message", MALFORMED_JSON)
+def test_instance_json_error_messages_are_pinned(obj, message):
+    with pytest.raises(InstanceError) as info:
+        FinInstance.from_json(obj)
+    assert str(info.value) == message
+
+
+def test_bool_and_float_bits_are_read_as_ints():
+    inst = FinInstance(["x"], ["y"], [[["x", True], ["y", 0.0]], [["x", 0.0], ["y", 1.0]]])
+    entries = inst.to_json()["map"]
+    assert entries == [[["x", 0], ["y", 1]], [["x", 1], ["y", 0]]]
+    assert all(type(end[1]) is int for entry in entries for end in entry)
+
+
+class IntLabel(int):
+    pass
+
+
+class StrLabel(str):
+    pass
+
+
+def built(xs, ys, mapping):
+    """The fields of ``FinInstance(xs, ys, mapping)``, or its error message."""
+    try:
+        inst = FinInstance(xs, ys, mapping)
+    except InstanceError as exc:
+        return str(exc)
+    return inst._xpos, inst._ypos, inst._swap, inst.to_json()
+
+
+POOL = [0, 1, 2, "0", "1", "a", "b", "c"]
+# labels and bits that are wrong, or right only in the checker's broader sense
+ODD_LABELS = [True, False, 1.0, 0.0, None, ("a",), IntLabel(1), StrLabel("a"), "zz", 7]
+ODD_BITS = [2, -1, "1", None, True, False, 1.0, 0.0, [0], 0.5]
+
+
+@st.composite
+def near_valid(draw):
+    """A valid instance as (xs, ys, mapping), then at most one mutation of it."""
+    n = draw(st.integers(1, 4))
+    xs = draw(st.permutations(POOL))[:n]
+    ys = draw(st.permutations(POOL))[:n]
+    targets = draw(st.permutations([[y, c] for y in ys for c in (0, 1)]))
+    mapping = [[[x, b], list(targets[2 * i + b])] for i, x in enumerate(xs) for b in (0, 1)]
+    mapping = draw(st.permutations(mapping))
+    kind = draw(st.sampled_from(["none", "subclass", "side", "label", "bit", "entry", "end", "drop", "repeat"]))
+    k = draw(st.integers(0, len(mapping) - 1))
+    role = draw(st.integers(0, 1))
+    if kind == "subclass":  # still valid, but only the checker takes it
+        side = draw(st.sampled_from([xs, ys]))
+        i = draw(st.integers(0, n - 1))
+        side[i] = (IntLabel if type(side[i]) is int else StrLabel)(side[i])
+    elif kind == "side":
+        side = draw(st.sampled_from([xs, ys]))
+        side[draw(st.integers(0, n - 1))] = draw(st.sampled_from(ODD_LABELS + POOL))
+    elif kind == "label":
+        mapping[k][role][0] = draw(st.sampled_from(ODD_LABELS + POOL))
+    elif kind == "bit":
+        mapping[k][role][1] = draw(st.sampled_from(ODD_BITS))
+    elif kind == "entry":
+        shape = draw(st.sampled_from([tuple, set, str, lambda e: e + e[:1], lambda e: e[:1]]))
+        mapping[k] = shape(map(tuple, mapping[k])) if shape is set else shape(mapping[k])
+    elif kind == "end":
+        shape = draw(st.sampled_from([tuple, set, str, lambda e: e + e[:1], lambda e: e[:1]]))
+        mapping[k][role] = shape(mapping[k][role])
+    elif kind == "drop":
+        del mapping[k]
+    elif kind == "repeat":
+        mapping.insert(draw(st.integers(0, len(mapping))), mapping[k])
+    return xs, ys, mapping
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_valid())
+def test_acceptance_pass_agrees_with_the_checker_alone(instance):
+    xs, ys, mapping = instance
+    with mock.patch.object(divider, "_accept", return_value=None):
+        expected = built(xs, ys, mapping)
+    assert built(xs, ys, mapping) == expected
 
 
 # --- the two involutions ---
