@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import itertools
 import random
 
@@ -422,20 +424,62 @@ def test_equivariant_count_formula():
         assert count == len(odd_offsets(d)) ** (w + 1)
 
 
+# (candidates, equivariant, failed_collision, failed_gap) for every guarded (w, d)
+GOLDEN_SEARCH_COUNTS = {
+    (0, 1): (4, 2, 1, 1),
+    (0, 2): (4, 2, 1, 1),
+    (0, 3): (16, 4, 2, 2),
+    (0, 4): (16, 4, 2, 2),
+    (0, 5): (36, 6, 3, 3),
+    (0, 6): (36, 6, 3, 3),
+    (0, 7): (64, 8, 4, 4),
+    (0, 8): (64, 8, 4, 4),
+    (0, 9): (100, 10, 5, 5),
+    (1, 1): (16, 4, 2, 2),
+    (1, 2): (16, 4, 2, 2),
+    (1, 3): (256, 16, 10, 6),
+    (1, 4): (256, 16, 10, 6),
+    (1, 5): (1296, 36, 24, 12),
+    (1, 6): (1296, 36, 24, 12),
+    (1, 7): (4096, 64, 44, 20),
+    (1, 8): (4096, 64, 44, 20),
+    (1, 9): (10000, 100, 70, 30),
+    (2, 1): (64, 8, 5, 3),
+    (2, 2): (64, 8, 5, 3),
+    (2, 3): (4096, 64, 45, 19),
+    (2, 4): (4096, 64, 45, 19),
+    (2, 5): (46656, 216, 159, 57),
+    (2, 6): (46656, 216, 159, 57),
+    (2, 7): (262144, 512, 387, 125),
+    (2, 8): (262144, 512, 387, 125),
+    (2, 9): (1000000, 1000, 769, 231),
+    (3, 1): (256, 16, 12, 4),
+    (3, 2): (256, 16, 12, 4),
+    (3, 3): (65536, 256, 206, 50),
+    (3, 4): (65536, 256, 206, 50),
+    (3, 5): (1679616, 1296, 1048, 248),
+    (3, 6): (1679616, 1296, 1048, 248),
+    (3, 7): (16777216, 4096, 3330, 766),
+    (3, 8): (16777216, 4096, 3330, 766),
+    (3, 9): (100000000, 10000, 8180, 1820),
+    (4, 1): (1024, 32, 27, 5),
+    (4, 2): (1024, 32, 27, 5),
+    (4, 3): (1048576, 1024, 903, 121),
+    (4, 4): (1048576, 1024, 903, 121),
+    (4, 5): (60466176, 7776, 6815, 961),
+    (4, 6): (60466176, 7776, 6815, 961),
+    (4, 7): (1073741824, 32768, 28487, 4281),
+    (4, 8): (1073741824, 32768, 28487, 4281),
+    (4, 9): (10**10, 100_000, 86_535, 13_465),
+}
+
+
 def test_search_reports_golden_counts():
-    expected = {
-        (0, 1): (4, 2, 1, 1),
-        (0, 3): (16, 4, 2, 2),
-        (1, 3): (256, 16, 10, 6),
-        (1, 5): (1296, 36, 24, 12),
-        (2, 3): (4096, 64, 45, 19),
-        (2, 7): (262144, 512, 387, 125),
-        (3, 7): (16777216, 4096, 3330, 766),
-        (4, 9): (10**10, 100_000, 86_535, 13_465),
-    }
-    for (w, d), (cands, equiv, coll, gaps) in expected.items():
-        report = exhaustive_search(w, d)
-        assert report == SearchReport(w, d, cands, equiv, coll, gaps, ())
+    assert len(GOLDEN_SEARCH_COUNTS) == 45
+    for (w, d), (cands, equiv, coll, gaps) in GOLDEN_SEARCH_COUNTS.items():
+        for jobs in (1, 2):
+            report = exhaustive_search(w, d, jobs=jobs)
+            assert report == SearchReport(w, d, cands, equiv, coll, gaps, ()), (w, d, jobs)
 
 
 def test_search_never_finds_survivors():
@@ -449,24 +493,50 @@ def test_parallel_search_report_is_identical():
     assert exhaustive_search(0, 3, jobs=4) == exhaustive_search(0, 3)
 
 
-def per_rule_counts(w, d):
-    """Collision and gap witnesses counted rule by rule through ``iterate_verdicts``."""
-    collisions = gaps = 0
-    for _, witness in iterate_verdicts(w, d):
-        collisions += isinstance(witness, Collision)
-        gaps += isinstance(witness, Gap)
-    return collisions, gaps
+def verdict_digest(pairs):
+    """sha256 over ``(rule, witness)`` pairs, one line of offsets and witness repr each."""
+    h = hashlib.sha256()
+    for rule, witness in pairs:
+        h.update(f"{rule.offsets} {witness!r}\n".encode())
+    return h.hexdigest()
+
+
+@functools.cache
+def verdict_summary(w, d):
+    """Collision and gap witnesses counted rule by rule through ``iterate_verdicts``, and their digest.
+
+    Cached so the count check and the digest pin share one pass over each space.
+    """
+    pairs = list(iterate_verdicts(w, d))
+    collisions = sum(isinstance(witness, Collision) for _, witness in pairs)
+    gaps = sum(isinstance(witness, Gap) for _, witness in pairs)
+    return collisions, gaps, verdict_digest(pairs)
+
+
+VERDICT_SPACES = [(w, d) for w in range(4) for d in range(1, 10)] + [(4, 9)]
 
 
 def test_prefix_search_counts_match_the_per_rule_path():
-    spaces = [(w, d) for w in range(4) for d in range(1, 10)] + [(4, 9)]
-    expected = {wd: per_rule_counts(*wd) for wd in spaces}
+    expected = {wd: verdict_summary(*wd)[:2] for wd in VERDICT_SPACES}
     for jobs in (1, 2):
         for (w, d), (collisions, gaps) in expected.items():
             report = exhaustive_search(w, d, jobs=jobs)
             assert (report.failed_collision, report.failed_gap) == (collisions, gaps), (w, d, jobs)
             assert report.equivariant == collisions + gaps == len(odd_offsets(d)) ** (w + 1)
             assert report.survivors == ()
+
+
+def test_iterate_verdicts_digest_is_pinned():
+    digests = "".join(verdict_summary(w, d)[2] for w, d in VERDICT_SPACES)
+    assert hashlib.sha256(digests.encode()).hexdigest() == (
+        "8c3bab77492cfb974763ad8d41d88668904b1705681c68db47a43bad598ecdd6"
+    )
+
+
+def test_bijectivity_witness_digest_is_pinned_across_pads():
+    rules = list(equivariant_rules(2, 5))
+    pairs = [(rule, bijectivity_witness(rule, pad)) for pad in (0, 1, 4, 50, 10**5) for rule in rules]
+    assert verdict_digest(pairs) == "66c794f33f0783212394ec09026f1c9f10bd99ab987d71ba14ece5c76b0dc665"
 
 
 def test_forced_survivors_come_back_as_rules_in_offset_order(monkeypatch):
