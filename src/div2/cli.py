@@ -96,7 +96,7 @@ def _parse_matching(obj) -> dict:
     for pos, pair in enumerate(obj["pairs"]):
         if not isinstance(pair, list) or len(pair) != 2:
             raise ValueError(f"pairs[{pos}]: expected [x, y], got {pair!r}")
-        x, y = (_check_label(label, f"pairs[{pos}]") for label in pair)
+        x, y = (_check_label(label, "pairs[%d]", pos) for label in pair)
         if x in matching:
             raise ValueError(f"pairs[{pos}]: {x!r} is matched twice")
         matching[x] = y

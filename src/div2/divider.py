@@ -61,9 +61,10 @@ def _canonical(labels) -> list:
     return out
 
 
-def _check_label(label, where: str) -> Label:
+def _check_label(label, where: str, *args) -> Label:
+    """``label`` if a str or non-bool int; else raise, formatting ``where % args`` only then."""
     if isinstance(label, bool) or not isinstance(label, (str, int)):
-        raise InstanceError(f"{where}: labels must be strings or integers, got {label!r}")
+        raise InstanceError(f"{where % args}: labels must be strings or integers, got {label!r}")
     return label
 
 
@@ -121,7 +122,7 @@ def _check(xs: tuple, ys: tuple, pairs: list):
         for role, end in (("source", entry[0]), ("target", entry[1])):
             if not isinstance(end, (list, tuple)) or len(end) != 2:
                 raise InstanceError(f"map entry {pos}: {role} must be a [label, bit] pair, got {end!r}")
-            _check_label(end[0], f"map entry {pos} ({role})")
+            _check_label(end[0], "map entry %d (%s)", pos, role)
             if end[1] not in (0, 1):
                 raise InstanceError(f"map entry {pos}: {role} bit must be 0 or 1, got {end[1]!r}")
         (x, b), (y, c) = entry
@@ -150,7 +151,7 @@ def _check_side(labels: tuple, side: str) -> dict:
     """Validate one side's labels; return each label's position."""
     seen: dict = {}
     for pos, label in enumerate(labels):
-        _check_label(label, f"{side}[{pos}]")
+        _check_label(label, "%s[%d]", side, pos)
         if label in seen:
             raise InstanceError(f"{side}[{pos}]: duplicate label {label!r} (first at {seen[label]})")
         seen[label] = pos

@@ -13,13 +13,13 @@ it is eventually linear with slope one: beyond an explicit even bound ``N``
 the zero-threshold family is ``n + k`` on the right and ``n - k`` on the
 left.  Counting the even block ``[-N, N]`` (odd cardinality) against the odd
 block ``[-N - k, N + k]`` it must fill (even cardinality) then contradicts
-bijectivity, so every rule fails at some threshold parameter.  The
-exhaustive search below confirms that concretely, with a collision or gap
-witness per rule, for every table within the guarded size limits.
+bijectivity, so every rule fails at threshold ``0``.  The exhaustive search
+below confirms that concretely, with a collision or gap witness per rule,
+for every table within the guarded size limits.
 
-The search probes only the thresholds ``0`` and ``-1``: translating by 2
-conjugates threshold ``m`` into ``m + 2``, so every threshold fails as one of
-those two does, and they come first in the canonical probe order.
+The search scans threshold ``0`` only: the infinities give rigid shifts, so
+``0`` is the first probe that can fail, and the lemma says it always does.
+A rule that passed it would still be scanned and reported as a survivor.
 
 The exhaustive search also shares work between rules.  Which table position
 the threshold-0 scan reads at each point depends on ``w`` and ``d`` alone,
@@ -342,40 +342,37 @@ class Gap:
 
 @functools.lru_cache(maxsize=64)
 def _scan_plan(w: int, d: int, pad: int) -> tuple:
-    """The probe scans at thresholds ``0`` and ``-1``, and the read order of threshold 0.
+    """The threshold-0 probe scan, ``(runs, gaps, order, cuts)``.
 
-    Each probe is ``(m, runs, gaps)``.  ``runs`` lists, in scan order,
-    ``(ns, i)``: every even ``n`` in the range ``ns`` reads table position
-    ``i = clamp(m - n, -w, w + 1) + w``, so its family value is
-    ``n + table[i]`` (free offset ``min(i, 2w + 1 - i)``, negated when
-    ``i > w``).  Only the two tails are longer than one point, so ``pad``
-    widens both scans without growing the plan.  ``gaps`` are the odd values
-    the scan must cover.  ``order`` lists the free offsets in the order the
-    threshold-0 scan first reads them, and ``cuts[k]`` is the run where it
+    ``runs`` lists, in scan order, ``(ns, i)``: every even ``n`` in the range
+    ``ns`` reads table position ``i = clamp(-n, -w, w + 1) + w``, so its
+    family value is ``n + table[i]`` (free offset ``min(i, 2w + 1 - i)``,
+    negated when ``i > w``).  Only the two tails are longer than one point,
+    so ``pad`` widens the scan without growing the plan.  ``gaps`` are the
+    odd values the scan must cover.  ``order`` lists the free offsets in the
+    order the scan first reads them, and ``cuts[k]`` is the run where it
     first reads ``order[k]``.
     """
     reach = w + 2 * d + 4 + pad
     span = w + d + 2 + pad
-    probes = []
-    for m in (0, -1):
-        ns = range(m - reach + (m - reach) % 2, m + reach + 1, 2)
-        # position 2w + 1 for n < m - w and position 0 for n >= m + w
-        left, right = len(range(ns.start, m - w, 2)), len(range(ns.start, m + w, 2))
-        runs = [(ns[:left], 2 * w + 1)]
-        runs += [(ns[k:k + 1], m - ns[k] + w) for k in range(left, right)]
-        runs.append((ns[right:], 0))
-        probes.append((m, tuple(runs), range(m - span + 1 - (m - span) % 2, m + span + 1, 2)))
+    ns = range(-reach + reach % 2, reach + 1, 2)
+    # position 2w + 1 for n < -w and position 0 for n >= w
+    left, right = len(range(ns.start, -w, 2)), len(range(ns.start, w, 2))
+    runs = [(ns[:left], 2 * w + 1)]
+    runs += [(ns[k:k + 1], w - ns[k]) for k in range(left, right)]
+    runs.append((ns[right:], 0))
+    gaps = range(-span + 1 - span % 2, span + 1, 2)
     order, cuts = [], []
-    for pos, (_, i) in enumerate(probes[0][1]):
+    for pos, (_, i) in enumerate(runs):
         free = min(i, 2 * w + 1 - i)
         if free not in order:
             order.append(free)
             cuts.append(pos)
-    return tuple(probes), tuple(order), tuple(cuts)
+    return tuple(runs), gaps, tuple(order), tuple(cuts)
 
 
 def _scan(table, runs, gaps, images: dict):
-    """One probe's first failure: ``(n1, n2, v)`` for a collision, ``(v,)`` for a gap, or None.
+    """First failure at threshold 0: ``(n1, n2, v)`` for a collision, ``(v,)`` for a gap, or None.
 
     ``images`` already holds the values of the points scanned before ``runs``.
     """
@@ -392,44 +389,36 @@ def _scan(table, runs, gaps, images: dict):
     return None
 
 
-def _first_failure(table, probes):
-    """First failure at threshold 0 or -1: ``(m, n1, n2, v)``, ``(m, v)``, or None."""
-    for m, runs, gaps in probes:
-        failure = _scan(table, runs, gaps, {})
-        if failure is not None:
-            return (m, *failure)
-    return None
-
-
 def _witness(failure):
-    """The public Collision or Gap for a failure tuple from the kernel."""
+    """The public Collision or Gap for a failure tuple from ``_scan``."""
     if failure is None:
         return None
-    m, *rest = failure
-    return Collision(fin(m), *rest) if len(rest) == 3 else Gap(fin(m), *rest)
+    return Collision(fin(0), *failure) if len(failure) == 3 else Gap(fin(0), *failure)
 
 
 def bijectivity_witness(rule: LocalRule, pad: int = 0):
-    """First collision or gap of the family over the canonical probes, or None.
+    """First collision or gap of the family at threshold 0, or None.
 
     At a threshold ``m`` the family is a rigid shift outside the window
     ``|n - m| <= w``, so colliding pairs lie within ``w + 2d + 4`` of ``m``
     (two displacements differ by at most ``2d``) and uncovered odd values
     within ``w + d + 2`` (beyond that the matching tail covers).  Scanning
     those finite windows therefore decides bijectivity exactly; ``pad``
-    widens both scans, which must never change the verdict.  The canonical
-    probe order is ``-inf, +inf, 0, -1, 1, -2, 2, ...``: the infinities give
-    rigid shifts, and translating by 2 carries threshold ``m`` and its scan
-    windows onto ``m + 2``, so only ``0`` and then ``-1`` are scanned and the
-    first failure is returned.  Raises NotReflectionEquivariant for rules
-    outside the hypothesis.
+    widens both scans, which must never change the verdict.  Only threshold
+    ``0`` is scanned: the infinities give rigid shifts, so ``0`` is the
+    first probe that can fail, and ``eventually_linear`` with
+    ``parity_counts`` says it always does.  None would mean a rule that
+    contradicts that lemma.  Raises NotReflectionEquivariant for rules
+    outside the hypothesis, and ValueError for a ``pad`` that is not a
+    non-negative integer.
     """
     bad = r_equivariance_witness(rule)
     if bad is not None:
         raise NotReflectionEquivariant(bad)
-    if pad < 0:
-        raise ValueError(f"pad must be non-negative, got {pad}")
-    return _witness(_first_failure(rule.offsets, _scan_plan(rule.w, rule.d, pad)[0]))
+    if not isinstance(pad, int) or isinstance(pad, bool) or pad < 0:
+        raise ValueError(f"pad must be a non-negative integer, got {pad!r}")
+    runs, gaps, _, _ = _scan_plan(rule.w, rule.d, pad)
+    return _witness(_scan(rule.offsets, runs, gaps, {}))
 
 
 def _odd_offsets(d: int) -> tuple:
@@ -451,9 +440,9 @@ def equivariant_rules(w: int, d: int):
 
 def iterate_verdicts(w: int, d: int):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
-    probes = _scan_plan(w, d, 0)[0]
+    runs, gaps, _, _ = _scan_plan(w, d, 0)
     for rule in equivariant_rules(w, d):
-        yield rule, _witness(_first_failure(rule.offsets, probes))
+        yield rule, _witness(_scan(rule.offsets, runs, gaps, {}))
 
 
 @dataclass(frozen=True)
@@ -484,12 +473,6 @@ MAX_SEARCH_W = 4
 MAX_SEARCH_D = 9
 
 
-def _leaf_failure(table, images: dict, probes):
-    """The first failure of a rule whose threshold-0 points left no collision in ``images``."""
-    (_, _, gaps), (_, runs, minus_gaps) = probes
-    return _scan(table, (), gaps, images) or _scan(table, runs, minus_gaps, {})
-
-
 def _search_counts(w: int, d: int) -> tuple:
     """``[equivariant, collisions, gaps]`` and the survivors of the ``(w, d)`` rule space.
 
@@ -497,11 +480,10 @@ def _search_counts(w: int, d: int) -> tuple:
     scan first reads them; each level scans the points up to the next
     level's first read into a copy of its parent's image dict.  A collision
     there is the first failure of every completion, so all of them are
-    counted at once.
+    counted at once.  A leaf has only the gap window left to check.
     """
     offs = _odd_offsets(d)
-    probes, order, cuts = _scan_plan(w, d, 0)
-    runs = probes[0][1]
+    runs, gaps, order, cuts = _scan_plan(w, d, 0)
     segments = [runs[a:b] for a, b in zip(cuts, cuts[1:] + (len(runs),))]
     last = len(order) - 1
     decided = [len(offs) ** (last - level) for level in range(last + 1)]
@@ -521,11 +503,10 @@ def _search_counts(w: int, d: int) -> tuple:
                 walk(level + 1, images)
             else:
                 counts[0] += 1
-                failure = _leaf_failure(table, images, probes)
-                if failure is None:
+                if _scan(table, (), gaps, images) is None:
                     survivors.append(LocalRule(w, d, tuple(table)))
                 else:
-                    counts[1 if len(failure) == 3 else 2] += 1
+                    counts[2] += 1
 
     walk(0, {})
     return counts, survivors
@@ -538,7 +519,7 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     counted in closed form and only its reflection-equivariant subspace is
     materialized, which loses nothing because every rule outside it fails
     the finite table condition the subspace is defined by.  Each surviving
-    candidate is then put through the exact bijectivity decision.  ``jobs``
+    candidate is then put through the threshold-0 bijectivity scan.  ``jobs``
     must be a positive integer but does not change the run: inside the size
     limits the whole search takes less time than starting a worker pool.
     """

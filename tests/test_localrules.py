@@ -391,6 +391,9 @@ def test_bijectivity_witness_is_stable_under_window_padding():
 def test_bijectivity_requires_equivariance():
     with pytest.raises(NotReflectionEquivariant):
         bijectivity_witness(LocalRule(0, 1, (1, 1)))
+    for pad in (True, 1.5, "2", -1):
+        with pytest.raises(ValueError, match="pad must be a non-negative integer"):
+            bijectivity_witness(RULE_GAP, pad)
 
 
 def test_two_probe_witness_matches_a_scan_of_every_threshold():
@@ -540,12 +543,14 @@ def test_bijectivity_witness_digest_is_pinned_across_pads():
 
 
 def test_forced_survivors_come_back_as_rules_in_offset_order(monkeypatch):
-    # rules whose threshold-0 scan has no collision reach the leaf probe;
+    # rules whose threshold-0 scan has no collision reach the leaf's gap check;
     # declaring some of them bijective must hand back exactly those rules
-    real = localrules._leaf_failure
+    real = localrules._scan
 
-    def lenient(table, images, probes):
-        return None if table[0] in (-5, 3) else real(table, images, probes)
+    def lenient(table, runs, gaps, images):
+        if runs == () and table[0] in (-5, 3):
+            return None
+        return real(table, runs, gaps, images)
 
     w, d = 3, 7
     verdicts = list(iterate_verdicts(w, d))
@@ -556,7 +561,7 @@ def test_forced_survivors_come_back_as_rules_in_offset_order(monkeypatch):
     ]
     kept = [witness for rule, witness in verdicts if rule not in forced]
     assert forced
-    monkeypatch.setattr(localrules, "_leaf_failure", lenient)
+    monkeypatch.setattr(localrules, "_scan", lenient)
     for jobs in (1, 2):
         report = exhaustive_search(w, d, jobs=jobs)
         assert all(isinstance(rule, LocalRule) for rule in report.survivors)
