@@ -23,11 +23,11 @@ A rule that passed it would still be scanned and reported as a survivor.
 
 The exhaustive search also shares work between rules.  Which table position
 the threshold-0 scan reads at each point depends on ``w`` and ``d`` alone,
-never on the offsets, so the scan first reads the free offsets (those at
-cuts ``-w .. 0``) in one fixed order, ``f0, f1, f3, f4, f2`` for ``w = 4``.
-A collision found after reading only a prefix of that order is then the
-first failure of every rule extending the prefix, and the search counts all
-of those rules in one step instead of scanning each.
+never on the offsets, so the search fixes the free offsets (cuts ``-w .. 0``)
+in one order, ``f0, f1, f3, f4, f2`` for ``w = 4``, each level adding every
+point that reads its offset (both tails at level 0).  Collision or gap does
+not depend on scan order, so a collision among the points of a prefix fails
+every rule extending it, and the search counts all of those at once.
 """
 
 from __future__ import annotations
@@ -340,53 +340,70 @@ class Gap:
     value: int
 
 
+MAX_PAD = 10**6
+
+
+def _odd_offsets(d: int) -> tuple:
+    return tuple(k for k in range(-d, d + 1) if k % 2 != 0)
+
+
 @functools.lru_cache(maxsize=64)
 def _scan_plan(w: int, d: int, pad: int) -> tuple:
-    """The threshold-0 probe scan, ``(runs, gaps, order, cuts)``.
+    """The threshold-0 probe scan as bit masks, ``(runs, gaps, origin, order, rows)``.
 
-    ``runs`` lists, in scan order, ``(ns, i)``: every even ``n`` in the range
-    ``ns`` reads table position ``i = clamp(-n, -w, w + 1) + w``, so its
-    family value is ``n + table[i]`` (free offset ``min(i, 2w + 1 - i)``,
-    negated when ``i > w``).  Only the two tails are longer than one point,
-    so ``pad`` widens the scan without growing the plan.  ``gaps`` are the
-    odd values the scan must cover.  ``order`` lists the free offsets in the
-    order the scan first reads them, and ``cuts[k]`` is the run where it
-    first reads ``order[k]``.
+    Value ``v`` is bit ``v + origin``.  ``runs`` lists, in scan order,
+    ``(ns, i, ones, low)``: every even ``n`` in the range ``ns`` reads table
+    position ``i = clamp(-n, -w, w + 1) + w``, so its family value is
+    ``n + table[i]`` (free offset ``min(i, 2w + 1 - i)``, negated when
+    ``i > w``), and the run's values are ``ones << (low + table[i])``.  Only
+    the two tails are longer than one point, and each is one shift.
+    ``gaps`` masks the odd values the scan must cover.  ``order`` lists the
+    free offsets in the order the scan first reads them.  For ``pad = 0``,
+    ``rows[k]`` pairs each value ``x`` of free offset ``order[k]`` with the
+    mask of every point that reads it, or None if those points collide.
     """
     reach = w + 2 * d + 4 + pad
     span = w + d + 2 + pad
+    origin = reach + d  # no value lies below -reach - d
     ns = range(-reach + reach % 2, reach + 1, 2)
     # position 2w + 1 for n < -w and position 0 for n >= w
     left, right = len(range(ns.start, -w, 2)), len(range(ns.start, w, 2))
     runs = [(ns[:left], 2 * w + 1)]
     runs += [(ns[k:k + 1], w - ns[k]) for k in range(left, right)]
     runs.append((ns[right:], 0))
-    gaps = range(-span + 1 - span % 2, span + 1, 2)
-    order, cuts = [], []
-    for pos, (_, i) in enumerate(runs):
-        free = min(i, 2 * w + 1 - i)
-        if free not in order:
-            order.append(free)
-            cuts.append(pos)
-    return tuple(runs), gaps, tuple(order), tuple(cuts)
+    order = tuple(dict.fromkeys(min(i, 2 * w + 1 - i) for _, i in runs))
+    # a step-2 range of length L at bit 0 is the mask (4**L - 1) // 3
+    runs = tuple((r, i, ((1 << 2 * len(r)) - 1) // 3, r.start + origin) for r, i in runs)
+    odds = range(-span + 1 - span % 2, span + 1, 2)
+    gaps = ((1 << 2 * len(odds)) - 1) // 3 << (odds.start + origin)
+    rows = []
+    for j in order if pad == 0 else ():
+        rows.append([])
+        for x in _odd_offsets(d):
+            parts = [ones << (low + (x if i <= w else -x)) for _, i, ones, low in runs if min(i, 2 * w + 1 - i) == j]
+            # the sum equals the union exactly when no two parts share a bit
+            mask = functools.reduce(int.__or__, parts)
+            rows[-1].append((x, mask if mask == sum(parts) else None))
+    return runs, gaps, origin, order, rows
 
 
-def _scan(table, runs, gaps, images: dict):
+def _scan(table, runs, gaps: int, origin: int):
     """First failure at threshold 0: ``(n1, n2, v)`` for a collision, ``(v,)`` for a gap, or None.
 
-    ``images`` already holds the values of the points scanned before ``runs``.
+    A run cannot collide with itself, so its first colliding point holds the
+    lowest bit its mask shares with the runs before it.
     """
-    for ns, i in runs:
-        offset = table[i]
-        for n in ns:
-            v = n + offset
-            if v in images:
-                return (images[v], n, v)
-            images[v] = n
-    for v in gaps:
-        if v not in images:
-            return (v,)
-    return None
+    images = 0
+    for k, (ns, i, ones, low) in enumerate(runs):
+        mask = ones << (low + table[i])
+        hit = images & mask
+        if hit:
+            v = (hit & -hit).bit_length() - 1 - origin
+            n1 = next(v - table[e] for ms, e, _, _ in runs[:k] if v - table[e] in ms)
+            return (n1, v - table[i], v)
+        images |= mask
+    missed = gaps & ~images
+    return ((missed & -missed).bit_length() - 1 - origin,) if missed else None
 
 
 def _witness(failure):
@@ -409,20 +426,15 @@ def bijectivity_witness(rule: LocalRule, pad: int = 0):
     first probe that can fail, and ``eventually_linear`` with
     ``parity_counts`` says it always does.  None would mean a rule that
     contradicts that lemma.  Raises NotReflectionEquivariant for rules
-    outside the hypothesis, and ValueError for a ``pad`` that is not a
-    non-negative integer.
+    outside the hypothesis, and ValueError for a ``pad`` that is not an
+    integer in ``[0, MAX_PAD]``.
     """
     bad = r_equivariance_witness(rule)
     if bad is not None:
         raise NotReflectionEquivariant(bad)
-    if not isinstance(pad, int) or isinstance(pad, bool) or pad < 0:
-        raise ValueError(f"pad must be a non-negative integer, got {pad!r}")
-    runs, gaps, _, _ = _scan_plan(rule.w, rule.d, pad)
-    return _witness(_scan(rule.offsets, runs, gaps, {}))
-
-
-def _odd_offsets(d: int) -> tuple:
-    return tuple(k for k in range(-d, d + 1) if k % 2 != 0)
+    if not isinstance(pad, int) or isinstance(pad, bool) or not 0 <= pad <= MAX_PAD:
+        raise ValueError(f"pad must be a non-negative integer at most {MAX_PAD}, got {pad!r}")
+    return _witness(_scan(rule.offsets, *_scan_plan(rule.w, rule.d, pad)[:3]))
 
 
 def equivariant_rules(w: int, d: int):
@@ -440,9 +452,9 @@ def equivariant_rules(w: int, d: int):
 
 def iterate_verdicts(w: int, d: int):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
-    runs, gaps, _, _ = _scan_plan(w, d, 0)
+    plan = _scan_plan(w, d, 0)[:3]
     for rule in equivariant_rules(w, d):
-        yield rule, _witness(_scan(rule.offsets, runs, gaps, {}))
+        yield rule, _witness(_scan(rule.offsets, *plan))
 
 
 @dataclass(frozen=True)
@@ -474,41 +486,36 @@ MAX_SEARCH_D = 9
 
 
 def _search_counts(w: int, d: int) -> tuple:
-    """``[equivariant, collisions, gaps]`` and the survivors of the ``(w, d)`` rule space.
+    """``[collisions, gaps]`` and the survivors of the ``(w, d)`` rule space.
 
     A depth-first walk fixes the free offsets in the order the threshold-0
-    scan first reads them; each level scans the points up to the next
-    level's first read into a copy of its parent's image dict.  A collision
-    there is the first failure of every completion, so all of them are
-    counted at once.  A leaf has only the gap window left to check.
+    scan first reads them, and each level ORs the values of every point that
+    reads its offset (both tails at level 0) into its parent's image mask.
+    A collision there fails every completion, so all of them are counted at
+    once.  A leaf holds every point of the window; only gaps are left.
     """
-    offs = _odd_offsets(d)
-    runs, gaps, order, cuts = _scan_plan(w, d, 0)
-    segments = [runs[a:b] for a, b in zip(cuts, cuts[1:] + (len(runs),))]
+    _, gaps, _, order, rows = _scan_plan(w, d, 0)
     last = len(order) - 1
-    decided = [len(offs) ** (last - level) for level in range(last + 1)]
+    decided = [len(rows[0]) ** (last - level) for level in range(last + 1)]
     table = [0] * (2 * w + 2)
-    counts = [0, 0, 0]
+    counts = [0, 0]
     survivors = []
 
-    def walk(level: int, parent: dict) -> None:
-        j, segment = order[level], segments[level]
-        for x in offs:
-            table[j], table[-1 - j] = x, -x
-            images = parent.copy()
-            if _scan(table, segment, (), images) is not None:
+    def walk(level: int, parent: int) -> None:
+        j = order[level]
+        for x, mask in rows[level]:
+            if mask is None or parent & mask:
                 counts[0] += decided[level]
-                counts[1] += decided[level]
-            elif level < last:
-                walk(level + 1, images)
+                continue
+            table[j], table[-1 - j] = x, -x
+            if level < last:
+                walk(level + 1, parent | mask)
+            elif gaps & ~(parent | mask):
+                counts[1] += 1
             else:
-                counts[0] += 1
-                if _scan(table, (), gaps, images) is None:
-                    survivors.append(LocalRule(w, d, tuple(table)))
-                else:
-                    counts[2] += 1
+                survivors.append(LocalRule(w, d, tuple(table)))
 
-    walk(0, {})
+    walk(0, 0)
     return counts, survivors
 
 
@@ -519,9 +526,12 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     counted in closed form and only its reflection-equivariant subspace is
     materialized, which loses nothing because every rule outside it fails
     the finite table condition the subspace is defined by.  Each surviving
-    candidate is then put through the threshold-0 bijectivity scan.  ``jobs``
-    must be a positive integer but does not change the run: inside the size
-    limits the whole search takes less time than starting a worker pool.
+    candidate is then put through the threshold-0 bijectivity scan, shared
+    between rules by a depth-first walk whose levels each add every point
+    that reads one free offset (the tails at level 0), so every point of
+    every rule's window is checked.  ``jobs`` must be a positive integer but
+    does not change the run: inside the size limits the whole search takes
+    less time than starting a worker pool.
     """
     for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
         if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
@@ -530,7 +540,7 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
             )
     if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
-    (equivariant, collisions, gaps), survivors = _search_counts(w, d)
+    (collisions, gaps), survivors = _search_counts(w, d)
     candidates = len(_odd_offsets(d)) ** (2 * w + 2)
     survivors.sort(key=lambda r: r.offsets)
-    return SearchReport(w, d, candidates, equivariant, collisions, gaps, tuple(survivors))
+    return SearchReport(w, d, candidates, collisions + gaps + len(survivors), collisions, gaps, tuple(survivors))

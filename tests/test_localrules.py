@@ -396,6 +396,58 @@ def test_bijectivity_requires_equivariance():
             bijectivity_witness(RULE_GAP, pad)
 
 
+def test_pad_past_the_cap_is_rejected_before_any_plan_is_built(monkeypatch):
+    assert bijectivity_witness(RULE_GAP, localrules.MAX_PAD) == Gap(fin(0), -1)
+
+    def unbuilt(*args):
+        raise AssertionError(f"scan plan built for {args}")
+
+    monkeypatch.setattr(localrules, "_scan_plan", unbuilt)
+    for pad in (localrules.MAX_PAD + 1, 10**100):
+        with pytest.raises(ValueError, match=f"pad must be a non-negative integer at most {localrules.MAX_PAD}"):
+            bijectivity_witness(RULE_GAP, pad)
+
+
+def decode(mask, origin):
+    """The values a scan-plan mask holds: bit ``b`` is the value ``b - origin``."""
+    return {b - origin for b in range(mask.bit_length()) if mask >> b & 1}
+
+
+def test_plan_masks_hold_the_family_values():
+    # the bit arithmetic of the scan plan and of the walk's level rows, against
+    # LocalRule.apply, which reads each window through WindowPattern instead
+    rng = random.Random(8)
+    zero = fin(0)
+    colliding_levels = 0
+    for _ in range(60):
+        w, d = rng.randint(0, 4), rng.randint(1, 9)
+        free = tuple(rng.choice(odd_offsets(d)) for _ in range(w + 1))
+        rule = LocalRule(w, d, free + tuple(-k for k in reversed(free)))
+        for pad in (0, 1, 50):
+            runs, gaps, origin, _, _ = localrules._scan_plan(w, d, pad)
+            reach, span = w + 2 * d + 4 + pad, w + d + 2 + pad
+            window = range(-reach + reach % 2, reach + 1, 2)
+            assert [n for ns, *_ in runs for n in ns] == list(window)
+            for ns, i, ones, low in runs:
+                assert decode(ones << (low + rule.offsets[i]), origin) == {rule.apply(zero, n) for n in ns}
+            assert decode(gaps, origin) == {v for v in range(-span, span + 1) if v % 2}
+        runs, _, origin, order, rows = localrules._scan_plan(w, d, 0)
+        window = [n for ns, *_ in runs for n in ns]
+        # the table position each point reads, through the pattern instead of the plan
+        pos = {n: WindowPattern.from_zinf(w, zero, n).cut + w for n in window}
+        assert sorted(order) == list(range(w + 1)) and len(rows) == w + 1
+        for j, row in zip(order, rows):
+            assert [x for x, _ in row] == odd_offsets(d)
+            mask = dict(row)[free[j]]
+            values = [rule.apply(zero, n) for n in window if min(pos[n], 2 * w + 1 - pos[n]) == j]
+            if len(set(values)) < len(values):
+                colliding_levels += 1
+                assert mask is None
+            else:
+                assert decode(mask, origin) == set(values)
+    assert colliding_levels
+
+
 def test_two_probe_witness_matches_a_scan_of_every_threshold():
     for w in range(3):
         for d in range(1, 8):
@@ -544,24 +596,20 @@ def test_bijectivity_witness_digest_is_pinned_across_pads():
 
 def test_forced_survivors_come_back_as_rules_in_offset_order(monkeypatch):
     # rules whose threshold-0 scan has no collision reach the leaf's gap check;
-    # declaring some of them bijective must hand back exactly those rules
-    real = localrules._scan
+    # with an empty gap window all of them pass it, and the search must hand
+    # back exactly those rules
+    real = localrules._scan_plan
 
-    def lenient(table, runs, gaps, images):
-        if runs == () and table[0] in (-5, 3):
-            return None
-        return real(table, runs, gaps, images)
+    def lenient(w, d, pad):
+        runs, _, origin, order, rows = real(w, d, pad)
+        return runs, 0, origin, order, rows
 
     w, d = 3, 7
     verdicts = list(iterate_verdicts(w, d))
-    forced = [
-        rule
-        for rule, witness in verdicts
-        if rule.offsets[0] in (-5, 3) and not (isinstance(witness, Collision) and witness.chi == fin(0))
-    ]
-    kept = [witness for rule, witness in verdicts if rule not in forced]
+    forced = [rule for rule, witness in verdicts if isinstance(witness, Gap)]
+    kept = [witness for _, witness in verdicts if not isinstance(witness, Gap)]
     assert forced
-    monkeypatch.setattr(localrules, "_scan", lenient)
+    monkeypatch.setattr(localrules, "_scan_plan", lenient)
     for jobs in (1, 2):
         report = exhaustive_search(w, d, jobs=jobs)
         assert all(isinstance(rule, LocalRule) for rule in report.survivors)
@@ -569,6 +617,27 @@ def test_forced_survivors_come_back_as_rules_in_offset_order(monkeypatch):
         assert report.survivors == tuple(forced)
         assert report.failed_collision == sum(isinstance(wit, Collision) for wit in kept)
         assert report.failed_gap == sum(isinstance(wit, Gap) for wit in kept)
+
+
+def test_leaf_gap_check_sees_every_level(monkeypatch):
+    # with a gap window of the one value 1, a rule without a collision survives
+    # exactly when one of its points, the last level's among them, lands on 1
+    real = localrules._scan_plan
+
+    def one_gap(w, d, pad):
+        runs, _, origin, order, rows = real(w, d, pad)
+        return runs, 1 << (1 + origin), origin, order, rows
+
+    w, d = 3, 7
+    reach = w + 2 * d + 4
+    window = range(-reach + reach % 2, reach + 1, 2)
+    gapped = [rule for rule, witness in iterate_verdicts(w, d) if isinstance(witness, Gap)]
+    covered = [rule for rule in gapped if any(rule.apply(fin(0), n) == 1 for n in window)]
+    assert 0 < len(covered) < len(gapped)
+    monkeypatch.setattr(localrules, "_scan_plan", one_gap)
+    report = exhaustive_search(w, d)
+    assert report.survivors == tuple(covered)
+    assert report.failed_gap == len(gapped) - len(covered)
 
 
 def test_search_guards():
