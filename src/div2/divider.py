@@ -23,8 +23,11 @@ O(cycle + (hi - lo)) however far from 0 ``lo`` lies; its length
 ``hi - lo + 1`` is capped at ``MAX_TRACE_LEN`` iterates, since the bits are
 returned as one list.
 
-Validation accepts a valid instance in one pass, ``_accept``, that writes no
-message; only when it declines does ``_check`` run, to name the first fault.
+Validation, ``_validate``, is one pass over the sides and then the map
+entries.  Labels, pairs and bits of the exact types ``str``, ``int``,
+``list`` and ``tuple`` take the fast path; anything else falls to a checker
+for that side or that entry alone, which names the fault where it is found
+or accepts an int or str subclass label.
 """
 
 from __future__ import annotations
@@ -73,67 +76,64 @@ _PAIR_TYPES = frozenset((list, tuple))
 _BIT = {0: 0, 1: 1}  # True and 1.0 hash and compare equal to 1, as the checker allows
 
 
-def _accept(xs: tuple, ys: tuple, pairs: list):
-    """``(xpos, ypos, swap)`` of a valid instance, or None; never a message."""
-    n = len(xs)
-    if len(ys) != n or len(pairs) != 2 * n:
-        return None
-    if not set(map(type, xs)) | set(map(type, ys)) <= _LABEL_TYPES:
-        return None
-    xpos = dict(zip(xs, range(n)))
-    ypos = dict(zip(ys, range(n)))
-    if len(xpos) != n or len(ypos) != n:
-        return None
-    two_n = 2 * n
-    swap = [-1] * (2 * two_n)
-    try:
-        for entry in pairs:
-            # exact list or tuple before unpacking, so no foreign __iter__ runs
-            if type(entry) not in _PAIR_TYPES:
-                return None
-            src, tgt = entry
-            if type(src) not in _PAIR_TYPES or type(tgt) not in _PAIR_TYPES:
-                return None
-            (x, b), (y, c) = src, tgt
-            if type(x) not in _LABEL_TYPES or type(y) not in _LABEL_TYPES:
-                return None
-            a = 2 * xpos[x] + _BIT[b]
-            z = two_n + 2 * ypos[y] + _BIT[c]
-            if swap[a] >= 0 or swap[z] >= 0:
-                return None
-            swap[a] = z
-            swap[z] = a
-    except (TypeError, ValueError, KeyError):  # a bad shape, an unhashable bit or a missing key
-        return None
-    return xpos, ypos, swap
+def _positions(labels: tuple, side: str) -> dict:
+    """Each label's position, also for int or str subclass labels; else InstanceError."""
+    if set(map(type, labels)) <= _LABEL_TYPES:
+        pos = dict(zip(labels, range(len(labels))))
+        if len(pos) == len(labels):
+            return pos
+    pos = {}
+    for i, label in enumerate(labels):
+        _check_label(label, "%s[%d]", side, i)
+        if label in pos:
+            raise InstanceError(f"{side}[{i}]: duplicate label {label!r} (first at {pos[label]})")
+        pos[label] = i
+    return pos
 
 
-def _check(xs: tuple, ys: tuple, pairs: list):
-    """``(xpos, ypos, swap)``, also with int or str subclass labels; else InstanceError."""
-    xpos = _check_side(xs, "X")
-    ypos = _check_side(ys, "Y")
+def _check_entry(pos: int, entry, xpos: dict, ypos: dict, two_n: int):
+    """``(x, b, y, c, a, z)`` of map entry ``pos``, with copy ids ``a`` and ``z``; else InstanceError."""
+    if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+        raise InstanceError(f"map entry {pos}: expected [source, target], got {entry!r}")
+    for role, end in (("source", entry[0]), ("target", entry[1])):
+        if not isinstance(end, (list, tuple)) or len(end) != 2:
+            raise InstanceError(f"map entry {pos}: {role} must be a [label, bit] pair, got {end!r}")
+        _check_label(end[0], "map entry %d (%s)", pos, role)
+        if end[1] not in (0, 1):
+            raise InstanceError(f"map entry {pos}: {role} bit must be 0 or 1, got {end[1]!r}")
+    (x, b), (y, c) = entry
+    i = xpos.get(x)
+    if i is None:
+        raise InstanceError(f"map entry {pos}: source label {x!r} is not in X")
+    j = ypos.get(y)
+    if j is None:
+        raise InstanceError(f"map entry {pos}: target label {y!r} is not in Y")
+    return x, b, y, c, 2 * i + (1 if b else 0), two_n + 2 * j + (1 if c else 0)
+
+
+def _validate(xs: tuple, ys: tuple, pairs: list):
+    """``(xpos, ypos, swap)`` of a valid instance; else InstanceError naming the first fault."""
+    xpos = _positions(xs, "X")
+    ypos = _positions(ys, "Y")
     if len(xs) != len(ys):
         raise InstanceError(f"|X| = {len(xs)} but |Y| = {len(ys)}: the copy map cannot be a bijection")
     two_n = 2 * len(xs)
     swap = [-1] * (2 * two_n)
     for pos, entry in enumerate(pairs):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise InstanceError(f"map entry {pos}: expected [source, target], got {entry!r}")
-        for role, end in (("source", entry[0]), ("target", entry[1])):
-            if not isinstance(end, (list, tuple)) or len(end) != 2:
-                raise InstanceError(f"map entry {pos}: {role} must be a [label, bit] pair, got {end!r}")
-            _check_label(end[0], "map entry %d (%s)", pos, role)
-            if end[1] not in (0, 1):
-                raise InstanceError(f"map entry {pos}: {role} bit must be 0 or 1, got {end[1]!r}")
-        (x, b), (y, c) = entry
-        i = xpos.get(x)
-        if i is None:
-            raise InstanceError(f"map entry {pos}: source label {x!r} is not in X")
-        j = ypos.get(y)
-        if j is None:
-            raise InstanceError(f"map entry {pos}: target label {y!r} is not in Y")
-        a = 2 * i + (1 if b else 0)
-        z = two_n + 2 * j + (1 if c else 0)
+        try:
+            # exact list or tuple before unpacking, so no foreign __iter__ runs
+            if type(entry) not in _PAIR_TYPES:
+                raise TypeError
+            src, tgt = entry
+            if type(src) not in _PAIR_TYPES or type(tgt) not in _PAIR_TYPES:
+                raise TypeError
+            (x, b), (y, c) = src, tgt
+            if type(x) not in _LABEL_TYPES or type(y) not in _LABEL_TYPES:
+                raise TypeError
+            a = 2 * xpos[x] + _BIT[b]
+            z = two_n + 2 * ypos[y] + _BIT[c]
+        except (TypeError, ValueError, KeyError):  # a bad shape, bit or label, or a subclass label
+            x, b, y, c, a, z = _check_entry(pos, entry, xpos, ypos, two_n)
         if swap[a] >= 0:
             raise InstanceError(f"map entry {pos}: source {(x, b)!r} already mapped")
         if swap[z] >= 0:
@@ -145,17 +145,6 @@ def _check(xs: tuple, ys: tuple, pairs: list):
         a = swap.index(-1)
         raise InstanceError(f"copy ({xs[a >> 1]!r}, {a & 1}) of X has no image")
     return xpos, ypos, swap
-
-
-def _check_side(labels: tuple, side: str) -> dict:
-    """Validate one side's labels; return each label's position."""
-    seen: dict = {}
-    for pos, label in enumerate(labels):
-        _check_label(label, "%s[%d]", side, pos)
-        if label in seen:
-            raise InstanceError(f"{side}[{pos}]: duplicate label {label!r} (first at {seen[label]})")
-        seen[label] = pos
-    return seen
 
 
 @dataclass(frozen=True)
@@ -187,16 +176,15 @@ class FinInstance:
 
     Validation is eager and total: duplicate labels, size mismatches, and
     any failure of the copy map to be a bijection from X x {0,1} onto
-    Y x {0,1} raise InstanceError naming the offending entry.  ``_accept``
-    only accepts, and ``_check`` names the fault whenever it declines.
+    Y x {0,1} raise InstanceError naming the first offending label or entry:
+    X side, Y side, sizes, then map entries in input order, each read once.
     """
 
     def __init__(self, xs: Iterable[Label], ys: Iterable[Label], mapping):
         self.xs = tuple(xs)
         self.ys = tuple(ys)
         pairs = list(mapping.items()) if isinstance(mapping, dict) else list(mapping)
-        built = _accept(self.xs, self.ys, pairs) or _check(self.xs, self.ys, pairs)
-        self._xpos, self._ypos, self._swap = built
+        self._xpos, self._ypos, self._swap = _validate(self.xs, self.ys, pairs)
 
     def __len__(self) -> int:
         return len(self.xs)
@@ -355,7 +343,7 @@ def matching_violation(inst: FinInstance, matching: dict) -> str | None:
         if x not in inst._xpos:
             return f"matched label {x!r} is not in X"
     hit: dict = {}
-    for x in sorted(matching, key=_label_key):
+    for x in _canonical(matching):
         y = matching[x]
         if y not in inst._ypos:
             return f"{x!r} is matched to {y!r}, which is not in Y"

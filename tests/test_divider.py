@@ -231,6 +231,14 @@ def test_instance_json_error_messages_are_pinned(obj, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("target", [{0: 0, 1: 0}, {0, 1}], ids=["dict", "set"])
+def test_a_target_that_unpacks_to_a_valid_copy_is_still_rejected(target):
+    # each target unpacks to (0, 1), a valid copy, so only the exact-type test rejects it
+    with pytest.raises(InstanceError) as info:
+        FinInstance([0], [0], [[[0, 0], target], [[0, 1], [0, 0]]])
+    assert str(info.value) == f"map entry 0: target must be a [label, bit] pair, got {target!r}"
+
+
 def test_bool_and_float_bits_are_read_as_ints():
     inst = FinInstance(["x"], ["y"], [[["x", True], ["y", 0.0]], [["x", 0.0], ["y", 1.0]]])
     entries = inst.to_json()["map"]
@@ -301,9 +309,25 @@ def near_valid(draw):
 @given(near_valid())
 def test_acceptance_pass_agrees_with_the_checker_alone(instance):
     xs, ys, mapping = instance
-    with mock.patch.object(divider, "_accept", return_value=None):
+    # no exact type passes: every side takes the per-label loop, every entry the checker
+    with mock.patch.multiple(divider, _LABEL_TYPES=frozenset(), _PAIR_TYPES=frozenset()):
         expected = built(xs, ys, mapping)
     assert built(xs, ys, mapping) == expected
+
+
+def test_entry_checker_runs_only_on_a_faulty_entry():
+    n = 2000
+    xs = [f"x{k}" for k in range(n)]
+    ys = [f"y{k}" for k in range(n)]
+    mapping = [[[x, b], [y, b]] for x, y in zip(xs, ys) for b in (0, 1)]
+    with mock.patch.object(divider, "_check_entry", wraps=divider._check_entry) as checker:
+        FinInstance(xs, ys, mapping)
+        assert checker.call_count == 0
+        mapping[-1][1][1] = 2
+        with pytest.raises(InstanceError) as info:
+            FinInstance(xs, ys, mapping)
+        assert checker.call_count == 1
+    assert str(info.value) == "map entry 3999: target bit must be 0 or 1, got 2"
 
 
 # --- the two involutions ---
@@ -455,6 +479,9 @@ def test_matching_violations_are_reported():
     assert matching_violation(TWO, {"a": "c", "b": "d"}) is None
     assert "unmatched" in matching_violation(TWO, {"a": "c"})
     assert "matched twice" in matching_violation(TWO, {"a": "c", "b": "c"})
+    # labels are read in canonical order, ints before strings, so 1 comes first
+    mixed = make_instance([1, "a"], ["c", "d"], [("c", 0), ("d", 1), ("d", 0), ("c", 1)])
+    assert matching_violation(mixed, {"a": "c", 1: "c"}) == "Y label 'c' is matched twice (from 1 and 'a')"
     assert "not in Y" in matching_violation(TWO, {"a": "c", "b": "q"})
     assert "not in X" in matching_violation(TWO, {"a": "c", "b": "d", "q": "c"})
     assert not verify_matching(TWO, {"a": "d"})
