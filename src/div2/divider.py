@@ -27,7 +27,8 @@ Validation, ``_validate``, is one pass over the sides and then the map
 entries.  Labels, pairs and bits of the exact types ``str``, ``int``,
 ``list`` and ``tuple`` take the fast path; anything else falls to a checker
 for that side or that entry alone, which names the fault where it is found
-or accepts an int or str subclass label.
+or accepts an int or str subclass label.  The loop keeps no entry position:
+a fault counts it from the swap slots the entries before it filled.
 """
 
 from __future__ import annotations
@@ -91,24 +92,33 @@ def _positions(labels: tuple, side: str) -> dict:
     return pos
 
 
-def _check_entry(pos: int, entry, xpos: dict, ypos: dict, two_n: int):
-    """``(x, b, y, c, a, z)`` of map entry ``pos``, with copy ids ``a`` and ``z``; else InstanceError."""
+def _check_entry(entry, xpos: dict, ypos: dict, two_n: int):
+    """``(x, b, y, c, a, z)`` of a map entry, with copy ids ``a`` and ``z``; else InstanceError.
+
+    The error's message is the fault alone; the caller prefixes the entry's
+    position, which it counts only then.
+    """
     if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-        raise InstanceError(f"map entry {pos}: expected [source, target], got {entry!r}")
+        raise InstanceError(f": expected [source, target], got {entry!r}")
     for role, end in (("source", entry[0]), ("target", entry[1])):
         if not isinstance(end, (list, tuple)) or len(end) != 2:
-            raise InstanceError(f"map entry {pos}: {role} must be a [label, bit] pair, got {end!r}")
-        _check_label(end[0], "map entry %d (%s)", pos, role)
+            raise InstanceError(f": {role} must be a [label, bit] pair, got {end!r}")
+        _check_label(end[0], " (%s)", role)
         if end[1] not in (0, 1):
-            raise InstanceError(f"map entry {pos}: {role} bit must be 0 or 1, got {end[1]!r}")
+            raise InstanceError(f": {role} bit must be 0 or 1, got {end[1]!r}")
     (x, b), (y, c) = entry
     i = xpos.get(x)
     if i is None:
-        raise InstanceError(f"map entry {pos}: source label {x!r} is not in X")
+        raise InstanceError(f": source label {x!r} is not in X")
     j = ypos.get(y)
     if j is None:
-        raise InstanceError(f"map entry {pos}: target label {y!r} is not in Y")
+        raise InstanceError(f": target label {y!r} is not in Y")
     return x, b, y, c, 2 * i + (1 if b else 0), two_n + 2 * j + (1 if c else 0)
+
+
+def _entry_pos(swap: list) -> int:
+    """The position of the map entry being read: each entry accepted before it filled two slots."""
+    return (len(swap) - swap.count(-1)) >> 1
 
 
 def _validate(xs: tuple, ys: tuple, pairs: list):
@@ -119,7 +129,7 @@ def _validate(xs: tuple, ys: tuple, pairs: list):
         raise InstanceError(f"|X| = {len(xs)} but |Y| = {len(ys)}: the copy map cannot be a bijection")
     two_n = 2 * len(xs)
     swap = [-1] * (2 * two_n)
-    for pos, entry in enumerate(pairs):
+    for entry in pairs:
         try:
             # exact list or tuple before unpacking, so no foreign __iter__ runs
             if type(entry) not in _PAIR_TYPES:
@@ -133,12 +143,15 @@ def _validate(xs: tuple, ys: tuple, pairs: list):
             a = 2 * xpos[x] + _BIT[b]
             z = two_n + 2 * ypos[y] + _BIT[c]
         except (TypeError, ValueError, KeyError):  # a bad shape, bit or label, or a subclass label
-            x, b, y, c, a, z = _check_entry(pos, entry, xpos, ypos, two_n)
+            try:
+                x, b, y, c, a, z = _check_entry(entry, xpos, ypos, two_n)
+            except InstanceError as exc:
+                raise InstanceError(f"map entry {_entry_pos(swap)}{exc}") from None
         if swap[a] >= 0:
-            raise InstanceError(f"map entry {pos}: source {(x, b)!r} already mapped")
+            raise InstanceError(f"map entry {_entry_pos(swap)}: source {(x, b)!r} already mapped")
         if swap[z] >= 0:
             hit = (xs[swap[z] >> 1], swap[z] & 1)
-            raise InstanceError(f"map entry {pos}: target {(y, c)!r} already hit from {hit!r}")
+            raise InstanceError(f"map entry {_entry_pos(swap)}: target {(y, c)!r} already hit from {hit!r}")
         swap[a] = z
         swap[z] = a
     if len(pairs) != two_n:

@@ -196,6 +196,17 @@ class LocalRule:
         return cls(w, d, offsets)
 
 
+def _valid_rule(w: int, d: int, offsets: tuple) -> LocalRule:
+    """A LocalRule from a table of odd ints bounded by ``d``, without ``__post_init__``.
+
+    Only for tables built valid by construction, as the rule enumeration
+    and the search's survivors are.
+    """
+    rule = object.__new__(LocalRule)
+    rule.__dict__.update(w=w, d=d, offsets=offsets)
+    return rule
+
+
 def r_equivariance_witness(rule: LocalRule) -> WindowPattern | None:
     """First pattern violating reflection equivariance, or None if none does.
 
@@ -447,7 +458,7 @@ def equivariant_rules(w: int, d: int):
     the full table space lexicographically.
     """
     for free in itertools.product(_odd_offsets(d), repeat=w + 1):
-        yield LocalRule(w, d, free + tuple(-k for k in reversed(free)))
+        yield _valid_rule(w, d, free + tuple(-k for k in reversed(free)))
 
 
 def iterate_verdicts(w: int, d: int):
@@ -493,30 +504,55 @@ def _search_counts(w: int, d: int) -> tuple:
     reads its offset (both tails at level 0) into its parent's image mask.
     A collision there fails every completion, so all of them are counted at
     once.  A leaf holds every point of the window; only gaps are left.
+
+    The walk below a level reads its parent's mask only through
+    ``parent & mask`` and ``gaps & ~(parent | mask)`` for the masks of that
+    level and the deeper ones, so its outcome depends only on the parent's
+    bits in ``seen[level]``, the gap window ORed with every mask of
+    ``rows[level:]``.  Each level caches its outcome under that key: the
+    collision and gap counts and the survivors' offsets from that level on.  The memo is exact: ``seen`` shrinks
+    with depth, so a key determines the keys below it, and every leaf
+    outcome still comes from the same mask tests.
     """
     _, gaps, _, order, rows = _scan_plan(w, d, 0)
     last = len(order) - 1
     decided = [len(rows[0]) ** (last - level) for level in range(last + 1)]
-    table = [0] * (2 * w + 2)
-    counts = [0, 0]
-    survivors = []
+    seen = [gaps]
+    for row in reversed(rows):
+        seen.append(functools.reduce(int.__or__, (mask for _, mask in row if mask is not None), seen[-1]))
+    seen.reverse()
+    memo = [{} for _ in rows]
 
-    def walk(level: int, parent: int) -> None:
-        j = order[level]
+    def walk(level: int, parent: int) -> tuple:
+        key = parent & seen[level]
+        done = memo[level].get(key)
+        if done is not None:
+            return done
+        collisions = missed = 0
+        tails = []
         for x, mask in rows[level]:
-            if mask is None or parent & mask:
-                counts[0] += decided[level]
-                continue
-            table[j], table[-1 - j] = x, -x
-            if level < last:
-                walk(level + 1, parent | mask)
-            elif gaps & ~(parent | mask):
-                counts[1] += 1
+            if mask is None or key & mask:
+                collisions += decided[level]
+            elif level < last:
+                below = walk(level + 1, key | mask)
+                collisions += below[0]
+                missed += below[1]
+                tails += [(x, *tail) for tail in below[2]]
+            elif gaps & ~(key | mask):
+                missed += 1
             else:
-                survivors.append(LocalRule(w, d, tuple(table)))
+                tails.append((x,))
+        memo[level][key] = done = (collisions, missed, tails)
+        return done
 
-    walk(0, 0)
-    return counts, survivors
+    collisions, missed, tails = walk(0, 0)
+    survivors = []
+    for tail in tails:
+        table = [0] * (2 * w + 2)
+        for j, x in zip(order, tail):
+            table[j], table[-1 - j] = x, -x
+        survivors.append(_valid_rule(w, d, tuple(table)))
+    return [collisions, missed], survivors
 
 
 def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
@@ -529,9 +565,12 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     candidate is then put through the threshold-0 bijectivity scan, shared
     between rules by a depth-first walk whose levels each add every point
     that reads one free offset (the tails at level 0), so every point of
-    every rule's window is checked.  ``jobs`` must be a positive integer but
-    does not change the run: inside the size limits the whole search takes
-    less time than starting a worker pool.
+    every rule's window is checked.  The walk decides each subtree once per
+    distinct set of image bits its masks and the gap window can still read;
+    prefixes that agree on those bits have the same completions fail in the
+    same way, so the memo changes no count and no survivor.  ``jobs`` must
+    be a positive integer but does not change the run: inside the size
+    limits the whole search takes less time than starting a worker pool.
     """
     for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
         if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:

@@ -640,6 +640,35 @@ def test_leaf_gap_check_sees_every_level(monkeypatch):
     assert report.failed_gap == len(gapped) - len(covered)
 
 
+def test_search_agrees_with_the_per_rule_path_on_random_gap_windows(monkeypatch):
+    # a random part of the real gap window lets many rules survive, so the
+    # memoized walk hands back survivor tails from subtrees it shares between
+    # prefixes; counts and survivors must match a scan of each rule alone
+    real = localrules._scan_plan
+    rng = random.Random(10)
+    survived = 0
+    for w, d in ((2, 7), (3, 7), (2, 9)):
+        runs, gaps, origin, order, rows = real(w, d, 0)
+        bits = [b for b in range(gaps.bit_length()) if gaps >> b & 1]
+        for _ in range(10):
+            window = sum(1 << b for b in rng.sample(bits, rng.randint(0, len(bits))))
+            monkeypatch.setattr(localrules, "_scan_plan", lambda *_: (runs, window, origin, order, rows))
+            verdicts = list(iterate_verdicts(w, d))
+            report = exhaustive_search(w, d)
+            assert report.failed_collision == sum(isinstance(wit, Collision) for _, wit in verdicts)
+            assert report.failed_gap == sum(isinstance(wit, Gap) for _, wit in verdicts)
+            assert report.survivors == tuple(rule for rule, wit in verdicts if wit is None)
+            survived += len(report.survivors)
+    assert survived
+
+
+def test_search_counts_past_the_limits_are_pinned():
+    # counts of the plain walk before it was memoized; no rule survives
+    pinned = {(5, 11): [2693008, 292976], (5, 13): [6759506, 770030], (6, 11): [33460187, 2371621]}
+    for (w, d), counts in pinned.items():
+        assert localrules._search_counts(w, d) == (counts, [])
+
+
 def test_search_guards():
     with pytest.raises(ValueError, match="radius"):
         exhaustive_search(5, 1)
