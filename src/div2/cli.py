@@ -127,8 +127,6 @@ def _cmd_act(args):
 
 def _cmd_theta(args):
     chi = _parse_chi(args.chi)
-    if args.i not in (0, 1):
-        raise ValueError(f"--i must be 0 or 1, got {args.i}")
     p = ParityPoint(args.n, args.i)
     result = theta(embed(chi) if isinstance(chi, ZInf) else chi, p)
     radius = window_radius(p)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequences import MINUS_INF, PLUS_INF, BiSeq, ZInf, fin
+from .sequences import MINUS_INF, PLUS_INF, BiSeq, ZInf, _check_bit, _check_int, fin
 
 EVEN = "even"
 ODD = "odd"
@@ -25,10 +25,8 @@ class ParityPoint:
     i: int
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
-            raise ValueError(f"n must be an integer, got {self.n!r}")
-        if self.i not in (0, 1):
-            raise ValueError(f"copy bit must be 0 or 1, got {self.i!r}")
+        _check_int(self.n, "n")
+        object.__setattr__(self, "i", _check_bit(self.i, "copy bit"))
 
     @property
     def parity(self) -> str:
@@ -46,10 +44,8 @@ class DihedralElt:
     shift: int
 
     def __post_init__(self):
-        if self.reflect not in (0, 1):
-            raise ValueError(f"reflect must be 0 or 1, got {self.reflect!r}")
-        if isinstance(self.shift, bool) or not isinstance(self.shift, int):
-            raise ValueError(f"shift must be an integer, got {self.shift!r}")
+        object.__setattr__(self, "reflect", _check_bit(self.reflect, "reflect"))
+        _check_int(self.shift, "shift")
 
     def __mul__(self, other: "DihedralElt") -> "DihedralElt":
         # t^a r = r t^-a, so r^s1 t^a1 . r^s2 t^a2 = r^(s1 xor s2) t^(a2 + (-1)^s2 a1)

@@ -36,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
+from .sequences import _check_bit, _check_fields
+
 Label = Union[str, int]
 
 X_SIDE = "X"
@@ -46,15 +48,11 @@ class InstanceError(ValueError):
     """An instance failed validation; the message says where."""
 
 
-def _label_key(label: Label) -> tuple:
-    return (type(label).__name__, label)
-
-
 def _canonical(labels) -> list:
-    """``sorted(labels, key=_label_key)``, sorting each type on its own.
+    """The labels in canonical order: by type name, then by value within each type.
 
-    Comparing plain labels instead of key tuples makes the sort about four
-    times faster on 1e5 labels.
+    Each type is sorted on its own, which compares plain labels; sorting on
+    ``(type name, label)`` key tuples is about four times slower on 1e5 labels.
     """
     groups: dict = {}
     for label in labels:
@@ -172,11 +170,7 @@ class CopyElem:
         if self.side not in (X_SIDE, Y_SIDE):
             raise ValueError(f"side must be {X_SIDE!r} or {Y_SIDE!r}, got {self.side!r}")
         _check_label(self.label, "copy")
-        if self.bit not in (0, 1):
-            raise ValueError(f"copy bit must be 0 or 1, got {self.bit!r}")
-
-    def sort_key(self) -> tuple:
-        return (self.side, *_label_key(self.label), self.bit)
+        object.__setattr__(self, "bit", _check_bit(self.bit, "copy bit"))
 
 
 def phi(z: CopyElem) -> CopyElem:
@@ -208,7 +202,7 @@ class FinInstance:
             raise InstanceError(
                 f"copy {(z.label, z.bit)!r} is not in this instance's {z.side} side"
             )
-        return base + 2 * pos[z.label] + (1 if z.bit else 0)
+        return base + 2 * pos[z.label] + z.bit
 
     def _elem(self, c: int) -> CopyElem:
         two_n = 2 * len(self.xs)
@@ -240,10 +234,8 @@ class FinInstance:
 
     def copies(self) -> list:
         """All copies in canonical order: X before Y, labels sorted, bit last."""
-        out = [CopyElem(X_SIDE, x, b) for x in self.xs for b in (0, 1)]
-        out += [CopyElem(Y_SIDE, y, b) for y in self.ys for b in (0, 1)]
-        out.sort(key=CopyElem.sort_key)
-        return out
+        sides = ((X_SIDE, self.xs), (Y_SIDE, self.ys))
+        return [CopyElem(side, label, b) for side, labels in sides for label in _canonical(labels) for b in (0, 1)]
 
     def to_json(self) -> dict:
         swap, ys, two_n = self._swap, self.ys, 2 * len(self.xs)
@@ -257,14 +249,7 @@ class FinInstance:
 
     @classmethod
     def from_json(cls, obj) -> "FinInstance":
-        if not isinstance(obj, dict):
-            raise InstanceError(f"instance must be an object, got {type(obj).__name__}")
-        missing = {"X", "Y", "map"} - set(obj)
-        if missing:
-            raise InstanceError(f"missing instance fields: {sorted(missing)}")
-        extra = set(obj) - {"X", "Y", "map"}
-        if extra:
-            raise InstanceError(f"unknown instance fields: {sorted(extra)}")
+        _check_fields(obj, "instance", ("X", "Y", "map"), error=InstanceError)
         if not isinstance(obj["X"], list) or not isinstance(obj["Y"], list):
             raise InstanceError("X and Y must be arrays of labels")
         if not isinstance(obj["map"], list):
@@ -383,9 +368,7 @@ def theta_cyclic_instance(bits) -> FinInstance:
     bits = tuple(bits)
     if len(bits) < 2 or len(bits) % 2 != 0:
         raise ValueError(f"need an even number of entries >= 2, got {len(bits)}")
-    for pos, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"entry {pos} must be 0 or 1, got {b!r}")
+    bits = tuple(_check_bit(b, f"entry {pos}") for pos, b in enumerate(bits))
     size = len(bits)
     mapping = []
     for n in range(0, size, 2):

@@ -37,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from .dihedral import R, DihedralElt
-from .sequences import MINUS_INF, ZInf, fin
+from .sequences import MINUS_INF, ZInf, _check_fields, _check_int, fin
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ class WindowPattern:
     def __post_init__(self):
         if not isinstance(self.w, int) or isinstance(self.w, bool) or self.w < 0:
             raise ValueError(f"radius must be a non-negative integer, got {self.w!r}")
-        if not isinstance(self.cut, int) or isinstance(self.cut, bool):
-            raise ValueError(f"cut must be an integer, got {self.cut!r}")
+        _check_int(self.cut, "cut")
         if not -self.w <= self.cut <= self.w + 1:
             raise ValueError(f"cut {self.cut} out of range [{-self.w}, {self.w + 1}]")
 
@@ -130,8 +129,7 @@ class LocalRule:
                 f"table must cover all {2 * self.w + 2} patterns, got {len(offsets)} entries"
             )
         for pos, off in enumerate(offsets):
-            if not isinstance(off, int) or isinstance(off, bool):
-                raise ValueError(f"offset for cut {pos - self.w} must be an integer, got {off!r}")
+            _check_int(off, f"offset for cut {pos - self.w}")
             if off % 2 == 0:
                 raise ValueError(f"offset for cut {pos - self.w} must be odd, got {off}")
             if abs(off) > self.d:
@@ -158,13 +156,7 @@ class LocalRule:
 
     @classmethod
     def from_json(cls, obj) -> "LocalRule":
-        if not isinstance(obj, dict):
-            raise ValueError(f"rule must be an object, got {type(obj).__name__}")
-        extra = set(obj) - {"w", "d", "table"}
-        if extra:
-            raise ValueError(f"unknown rule fields: {sorted(extra)}")
-        if "w" not in obj or "table" not in obj:
-            raise ValueError("rule needs fields w and table")
+        _check_fields(obj, "rule", ("w", "table"), ("d",))
         w, table, d = obj["w"], obj["table"], obj.get("d")
         if not isinstance(table, dict):
             raise ValueError("table must be an object mapping pattern names to offsets")
@@ -175,9 +167,7 @@ class LocalRule:
             pat = WindowPattern.parse(w, name)
             if pat.cut in entries:
                 raise ValueError(f"pattern {pat.name()} tabled twice")
-            if not isinstance(off, int) or isinstance(off, bool):
-                raise ValueError(f"offset for {pat.name()} must be an integer, got {off!r}")
-            entries[pat.cut] = off
+            entries[pat.cut] = _check_int(off, f"offset for {pat.name()}")
         # cuts are distinct and in range, so a short table is an incomplete one;
         # name only the first few gaps, so the work is bounded by the table
         absent = 2 * w + 2 - len(entries)
@@ -196,14 +186,14 @@ class LocalRule:
         return cls(w, d, offsets)
 
 
-def _valid_rule(w: int, d: int, offsets: tuple) -> LocalRule:
-    """A LocalRule from a table of odd ints bounded by ``d``, without ``__post_init__``.
+def _equivariant_rule(w: int, d: int, free: tuple) -> LocalRule:
+    """The rule with offsets ``free`` on cuts ``-w .. 0`` and ``free`` negated in reverse on ``1 .. w + 1``.
 
-    Only for tables built valid by construction, as the rule enumeration
-    and the search's survivors are.
+    It skips ``__post_init__``, so ``free`` must be ``w + 1`` odd ints bounded
+    by ``d``, as in the rule enumeration and the search's survivors.
     """
     rule = object.__new__(LocalRule)
-    rule.__dict__.update(w=w, d=d, offsets=offsets)
+    rule.__dict__.update(w=w, d=d, offsets=free + tuple(-k for k in reversed(free)))
     return rule
 
 
@@ -458,7 +448,7 @@ def equivariant_rules(w: int, d: int):
     the full table space lexicographically.
     """
     for free in itertools.product(_odd_offsets(d), repeat=w + 1):
-        yield _valid_rule(w, d, free + tuple(-k for k in reversed(free)))
+        yield _equivariant_rule(w, d, free)
 
 
 def iterate_verdicts(w: int, d: int):
@@ -546,12 +536,8 @@ def _search_counts(w: int, d: int) -> tuple:
         return done
 
     collisions, missed, tails = walk(0, 0)
-    survivors = []
-    for tail in tails:
-        table = [0] * (2 * w + 2)
-        for j, x in zip(order, tail):
-            table[j], table[-1 - j] = x, -x
-        survivors.append(_valid_rule(w, d, tuple(table)))
+    # a tail lists the free offsets in ``order``, a permutation of 0 .. w
+    survivors = [_equivariant_rule(w, d, tuple(x for _, x in sorted(zip(order, tail)))) for tail in tails]
     return [collisions, missed], survivors
 
 

@@ -18,15 +18,31 @@ from dataclasses import dataclass
 
 
 def _check_bit(value, what: str = "bit") -> int:
-    if value is not True and value is not False and value not in (0, 1):
+    """``value`` as the int 0 or 1; ``True``, ``False``, ``1.0`` and ``0.0`` are read as 1 and 0."""
+    if value not in (0, 1):
         raise ValueError(f"{what} must be 0 or 1, got {value!r}")
-    return int(value)
+    return 1 if value else 0
 
 
 def _check_int(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
+
+
+def _check_fields(obj, what: str, required, optional=(), error=ValueError) -> None:
+    """Raise ``error`` unless ``obj`` is a dict with every ``required`` field and no other but ``optional``.
+
+    Missing fields are named before unknown ones.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be an object, got {type(obj).__name__}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise error(f"missing {what} fields: {sorted(missing)}")
+    extra = set(obj) - set(required) - set(optional)
+    if extra:
+        raise error(f"unknown {what} fields: {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -216,14 +232,7 @@ class BiSeq:
 
     @classmethod
     def from_json(cls, obj) -> "BiSeq":
-        if not isinstance(obj, dict):
-            raise ValueError(f"sequence must be an object, got {type(obj).__name__}")
-        extra = set(obj) - {"left", "start", "core", "right"}
-        if extra:
-            raise ValueError(f"unknown sequence fields: {sorted(extra)}")
-        missing = {"left", "start", "core", "right"} - set(obj)
-        if missing:
-            raise ValueError(f"missing sequence fields: {sorted(missing)}")
+        _check_fields(obj, "sequence", ("left", "start", "core", "right"))
         if not isinstance(obj["core"], (list, tuple)):
             raise ValueError("core must be an array of bits")
         return cls(obj["left"], obj["start"], tuple(obj["core"]), obj["right"])

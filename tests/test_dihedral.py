@@ -105,6 +105,10 @@ def test_validation():
         DihedralElt(2, 0)
     with pytest.raises(ValueError):
         DihedralElt(0, 1.5)
+    # a bit given as a float or a bool is stored as an int
+    assert DihedralElt(1.0, 0) * R == IDENTITY
+    assert DihedralElt(1.0, 3).inverse() * DihedralElt(1.0, 3) == IDENTITY
+    assert str(ParityPoint(0, True)) == "(0, 1)"
 
 
 # --- action on integers ---

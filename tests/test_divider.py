@@ -244,6 +244,7 @@ def test_bool_and_float_bits_are_read_as_ints():
     entries = inst.to_json()["map"]
     assert entries == [[["x", 0], ["y", 1]], [["x", 1], ["y", 0]]]
     assert all(type(end[1]) is int for entry in entries for end in entry)
+    assert type(CopyElem("X", "a", 1.0).bit) is int
 
 
 class IntLabel(int):
@@ -557,3 +558,9 @@ def test_mixed_label_types_are_kept_apart():
         },
     )
     assert divide(inst) == {0: 1, "0": "1"}
+    # copies() lists X before Y, labels by type name and then value, bit last
+    xs, ys = [2, "b", IntLabel(1), 0, "a"], ["y", 5, IntLabel(3), "x", 4]
+    inst = FinInstance(xs, ys, [[[x, b], [y, b]] for x, y in zip(xs, ys) for b in (0, 1)])
+    sides = (("X", xs), ("Y", ys))
+    expected = sorted((side, type(label).__name__, label, b) for side, labels in sides for label in labels for b in (0, 1))
+    assert [(z.side, type(z.label).__name__, z.label, z.bit) for z in inst.copies()] == expected
