@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -516,6 +517,15 @@ def test_cyclic_random_tables():
         table = [rng.randrange(2) for _ in range(2 * half)]
         inst = theta_cyclic_instance(table)
         assert verify_matching(inst, divide(inst))
+
+
+def test_cyclic_instances_are_pinned_up_to_m10():
+    # every even table of length 2..10, with the instance each one builds
+    digest = hashlib.sha256()
+    for size in range(2, 11, 2):
+        for bits in itertools.product((0, 1), repeat=size):
+            digest.update(json.dumps([bits, theta_cyclic_instance(bits).to_json()]).encode())
+    assert digest.hexdigest() == "2f17ea506c9c4baeff0bc528f34c31b673e7f6d255b3ea5053c9943a8b50ff13"
 
 
 def test_cyclic_rejects_odd_or_empty():
