@@ -23,6 +23,8 @@ from .divider import (
     matching_violation,
 )
 from .localrules import (
+    MAX_SEARCH_D,
+    MAX_SEARCH_W,
     LinearTail,
     LocalRule,
     TailViolation,
@@ -140,30 +142,32 @@ def _cmd_theta(args):
     return 0, payload, [str(result.point), f"depends on chi at indices {lo}..{hi}; agreement radius {radius}"]
 
 
+def _trace(inst: FinInstance, side: str, text: str, bit: int, lo: int, hi: int) -> dict:
+    """The copy bits from ``lo`` to ``hi`` along the orbit of the label that prints as ``text``."""
+    label = _find_label(inst._xpos if side == "X" else inst._ypos, text, side)
+    bits = chi_trace(inst, CopyElem(side, label, bit), lo, hi)
+    return {"label": label, "bit": bit, "lo": lo, "hi": hi, "bits": bits}
+
+
 def _cmd_trace(args):
     _check_trace_range(args.lo, args.hi)
     inst = FinInstance.from_json(_load_json(args.infile))
-    side = args.side
-    label = _find_label(inst._xpos if side == "X" else inst._ypos, args.label, side)
-    bits = chi_trace(inst, CopyElem(side, label, args.bit), args.lo, args.hi)
-    payload = {"label": label, "bit": args.bit, "lo": args.lo, "hi": args.hi, "bits": bits}
-    return 0, payload, [" ".join(str(b) for b in bits)]
+    trace = _trace(inst, args.side, args.label, args.bit, args.lo, args.hi)
+    return 0, trace, [" ".join(str(b) for b in trace["bits"])]
 
 
 def _cmd_divide(args):
     inst = FinInstance.from_json(_load_json(args.infile))
     if args.trace:
-        # the whole --trace spec is checked before the matching is computed
+        # the trace is taken before the matching is computed, so a bad spec stops the command first
         parts = args.trace.split(",")
         if len(parts) != 4:
             raise ValueError(f"--trace wants label,bit,lo,hi, got {args.trace!r}")
-        label = _find_label(inst._xpos, parts[0].strip(), "X")
         try:
             bit, lo, hi = (int(p) for p in parts[1:])
         except ValueError:
             raise ValueError(f"--trace wants integer bit,lo,hi, got {args.trace!r}") from None
-        _check_trace_range(lo, hi)
-        z = CopyElem("X", label, bit)
+        trace = _trace(inst, "X", parts[0].strip(), bit, lo, hi)
     matching = divide(inst)
     # json.dumps writes the tuples as arrays
     payload = {"pairs": list(matching.items())}
@@ -174,9 +178,8 @@ def _cmd_divide(args):
             raise ValueError(f"{args.out}: {exc.strerror or exc}") from None
     lines = [f"{x} -> {y}" for x, y in matching.items()]
     if args.trace:
-        bits = chi_trace(inst, z, lo, hi)
-        payload["trace"] = {"label": label, "bit": bit, "lo": lo, "hi": hi, "bits": bits}
-        lines.append(f"trace {label},{bit} on [{lo}, {hi}]: " + " ".join(str(b) for b in bits))
+        payload["trace"] = trace
+        lines.append(f"trace {trace['label']},{bit} on [{lo}, {hi}]: " + " ".join(str(b) for b in trace["bits"]))
     return 0, payload, lines
 
 
@@ -291,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_parity.set_defaults(func=_cmd_verify_parity)
 
     p_search = vsub.add_parser("search", help="exhaust a local-rule space")
-    p_search.add_argument("--w", required=True, type=int, help="window radius (at most 4)")
-    p_search.add_argument("--d", required=True, type=int, help="displacement bound (at most 9)")
+    p_search.add_argument("--w", required=True, type=int, help=f"window radius (at most {MAX_SEARCH_W})")
+    p_search.add_argument("--d", required=True, type=int, help=f"displacement bound (at most {MAX_SEARCH_D})")
     p_search.add_argument("--jobs", type=int, default=1)
     p_search.set_defaults(func=_cmd_verify_search)
 

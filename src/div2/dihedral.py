@@ -36,6 +36,14 @@ class ParityPoint:
         return f"({self.n}, {self.i})"
 
 
+def _compose(s1: int, a1: int, s2: int, a2: int) -> tuple:
+    """``r^s1 t^a1 . r^s2 t^a2 = r^(s1 xor s2) t^(a2 + (-1)^s2 a1)`` as ``(s, a)``, since ``t^a r = r t^-a``."""
+    return s1 ^ s2, a2 - a1 if s2 else a2 + a1
+
+
+_GENERATORS = {"t": (0, 1), "T": (0, -1), "r": (1, 0)}
+
+
 @dataclass(frozen=True)
 class DihedralElt:
     """Group element ``r^reflect t^shift`` with ``reflect`` in {0, 1}."""
@@ -48,11 +56,9 @@ class DihedralElt:
         _check_int(self.shift, "shift")
 
     def __mul__(self, other: "DihedralElt") -> "DihedralElt":
-        # t^a r = r t^-a, so r^s1 t^a1 . r^s2 t^a2 = r^(s1 xor s2) t^(a2 + (-1)^s2 a1)
         if not isinstance(other, DihedralElt):
             return NotImplemented
-        a1 = -self.shift if other.reflect else self.shift
-        return DihedralElt(self.reflect ^ other.reflect, other.shift + a1)
+        return DihedralElt(*_compose(self.reflect, self.shift, other.reflect, other.shift))
 
     def inverse(self) -> "DihedralElt":
         # reflections are involutions; pure translations invert the shift
@@ -65,19 +71,14 @@ class DihedralElt:
         The word reads left to right as a composition applied right to left
         to points, matching ``*``.  Whitespace is ignored.
         """
-        acc = IDENTITY
+        s, a = 0, 0
         for pos, ch in enumerate(word):
             if ch.isspace():
                 continue
-            if ch == "t":
-                acc = acc * T
-            elif ch == "T":
-                acc = acc * T.inverse()
-            elif ch == "r":
-                acc = acc * R
-            else:
+            if ch not in _GENERATORS:
                 raise ValueError(f"bad generator {ch!r} at position {pos}: expected t, T, or r")
-        return acc
+            s, a = _compose(s, a, *_GENERATORS[ch])
+        return cls(s, a)
 
     def __str__(self) -> str:
         return f"r^{self.reflect} t^{self.shift}"

@@ -36,7 +36,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .sequences import _check_bit, _check_fields
+from . import theta as pairing
+from .dihedral import ParityPoint
+from .sequences import BiSeq, _check_bit, _check_fields
 
 Label = Union[str, int]
 
@@ -357,26 +359,22 @@ def verify_matching(inst: FinInstance, matching: dict) -> bool:
 
 
 def theta_cyclic_instance(bits) -> FinInstance:
-    """Wrap the three-point pairing formula around a cycle.
+    """Wrap the pairing map ``theta.theta`` around a cycle.
 
     ``bits`` is a parameter table on Z/M for even M >= 2; evens become X
-    labels and odds Y labels, and the copy map sends (n, i) to
-    (n+1, 1 - bits[n+1]) when i = bits[n], else to (n-1, bits[n-1]), with
-    indices mod M.  The formula is still its own inverse on the cycle, so
-    the result is always a valid instance.
+    labels and odds Y labels, and a copy's image is read mod M.  The map is
+    still its own inverse on the cycle, so the result is always valid.
     """
     bits = tuple(bits)
     if len(bits) < 2 or len(bits) % 2 != 0:
         raise ValueError(f"need an even number of entries >= 2, got {len(bits)}")
     bits = tuple(_check_bit(b, f"entry {pos}") for pos, b in enumerate(bits))
     size = len(bits)
+    # the map reads chi only at n - 1, n and n + 1, so one entry past each end closes the cycle
+    chi = BiSeq(0, -1, bits[-1:] + bits + bits[:1], 0)
     mapping = []
     for n in range(0, size, 2):
         for i in (0, 1):
-            if i == bits[n]:
-                m = (n + 1) % size
-                mapping.append([[n, i], [m, 1 - bits[m]]])
-            else:
-                m = (n - 1) % size
-                mapping.append([[n, i], [m, bits[m]]])
+            image = pairing.theta(chi, ParityPoint(n, i)).point
+            mapping.append([[n, i], [image.n % size, image.i]])
     return FinInstance(range(0, size, 2), range(1, size, 2), mapping)

@@ -33,16 +33,17 @@ def _check_int(value, what: str) -> int:
 def _check_fields(obj, what: str, required, optional=(), error=ValueError) -> None:
     """Raise ``error`` unless ``obj`` is a dict with every ``required`` field and no other but ``optional``.
 
-    Missing fields are named before unknown ones.
+    Missing fields are named before unknown ones; unknown keys of any type
+    are named sorted by type name and then by text.
     """
     if not isinstance(obj, dict):
         raise error(f"{what} must be an object, got {type(obj).__name__}")
     missing = set(required) - set(obj)
     if missing:
         raise error(f"missing {what} fields: {sorted(missing)}")
-    extra = set(obj) - set(required) - set(optional)
+    extra = sorted(set(obj) - set(required) - set(optional), key=lambda key: (type(key).__name__, str(key)))
     if extra:
-        raise error(f"unknown {what} fields: {sorted(extra)}")
+        raise error(f"unknown {what} fields: {extra}")
 
 
 @dataclass(frozen=True)
@@ -90,11 +91,7 @@ class ZInf:
         return fin(_check_int(obj, "point"))
 
     def __str__(self) -> str:
-        if self.kind < 0:
-            return "-inf"
-        if self.kind > 0:
-            return "+inf"
-        return f"nbar:{self.n}"
+        return f"nbar:{self.n}" if self.is_finite else self.to_json()
 
 
 MINUS_INF = ZInf(-1)

@@ -5,7 +5,8 @@ seed.  Each runs in process through ``div2.cli.main`` in a scratch working
 directory, so file arguments are relative and the transcript holds no path.
 A record keeps the exit code, the sha256 of stdout, the first word of
 stderr (the whole of it for the search limits), and the sha256 of the file
-``divide --out`` wrote.  Every subcommand runs in text and ``--json`` form.
+``divide --out`` wrote.  Every subcommand runs in text and ``--json`` form,
+and a second test rebuilds each text stdout from its ``--json`` object.
 
 After an intended output change, regenerate the file and read its diff:
 
@@ -199,15 +200,20 @@ def invocations(rng) -> list:
     return runs
 
 
-def run(argv) -> dict:
+def _outputs(argv) -> tuple:
+    """The exit code, stdout and stderr of one invocation."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    err = err.getvalue()
-    record = {"argv": argv, "code": code, "stdout": _digest(out.getvalue().encode())}
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv) -> dict:
+    code, out, err = _outputs(argv)
+    record = {"argv": argv, "code": code, "stdout": _digest(out.encode())}
     record["stderr"] = err if argv in LIMITS else (err.split() or [""])[0]
     if "--out" in argv and code == 0:
         record["out"] = _digest(Path(argv[argv.index("--out") + 1]).read_bytes())
@@ -225,6 +231,72 @@ def test_cli_transcript_is_unchanged():
     for new, old in zip(got, want):
         assert new == old
     assert len(got) == len(want)
+
+
+def _bits(bits) -> str:
+    return " ".join(str(b) for b in bits)
+
+
+def _text_lines(argv, obj) -> list:
+    """The plain-text stdout lines of ``argv``, rebuilt from the object its ``--json`` form prints."""
+    command = argv[1] if argv[0] == "verify" else argv[0]
+    if command == "act":
+        lines = [str(obj["n"])] if "n" in obj else []
+        chi = obj.get("chi")
+        if isinstance(chi, dict):  # a sequence
+            lines.append(json.dumps(chi, sort_keys=True))
+        elif chi is not None:  # a point: "-inf", "+inf" or a threshold
+            lines.append(chi if isinstance(chi, str) else f"nbar:{chi}")
+        return lines or [f"r^{obj['reflect']} t^{obj['shift']}"]
+    if command == "theta":
+        lo, _, hi = obj["depends_on"]
+        return [f"({obj['n']}, {obj['i']})", f"depends on chi at indices {lo}..{hi}; agreement radius {obj['radius']}"]
+    if command == "trace":
+        return [_bits(obj["bits"])]
+    if command == "divide":
+        lines = [f"{x} -> {y}" for x, y in obj["pairs"]]
+        if "trace" in obj:
+            t = obj["trace"]
+            lines.append(f"trace {t['label']},{t['bit']} on [{t['lo']}, {t['hi']}]: {_bits(t['bits'])}")
+        return lines
+    if command == "lemma":
+        if not obj["verified"]:
+            return [f"tail FAILS at n={obj['n']}: expected {obj['expected']}, got {obj['actual']}"]
+        k = obj["k"]
+        (r0, r1), (l0, l1) = obj["right_window"], obj["left_window"]
+        return [f"tail displacement k={k}, bound N={obj['N']}",
+                f"right tail n+{k} holds on ({r0}, {r1}]; left tail n-{k} holds on [{l0}, {l1})",
+                "eventual linearity: verified"]
+    if command == "parity":
+        words = ["odd" if obj[key] % 2 else "even" for key in ("evens", "odds")]
+        verdict = "contradiction confirmed" if obj["contradiction"] else "NO contradiction"
+        return [f"evens={obj['evens']} ({words[0]}), odds={obj['odds']} ({words[1]}): {verdict}"]
+    if command == "search":
+        survivors = obj["survivors"]
+        lines = [f"search w={obj['w']} d={obj['d']}: candidates={obj['candidates']} equivariant={obj['equivariant']} "
+                 f"collisions={obj['failed_collision']} gaps={obj['failed_gap']} survivors={len(survivors)}"]
+        lines += [f"SURVIVOR: {json.dumps(rule, sort_keys=True)}" for rule in survivors]
+        return lines if survivors else lines + ["no equivariant local rule is bijective at this scale: confirmed"]
+    if command == "matching":
+        return [f"matching verified: {obj['pairs']} pairs" if obj["valid"] else f"matching INVALID: {obj['problem']}"]
+    raise AssertionError(f"no text form for {argv}")
+
+
+def test_text_and_json_forms_carry_the_same_facts():
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        runs = invocations(random.Random(SEED))
+        pairs = [argv for argv in runs if argv + ["--json"] in runs]
+        commands = {argv[1] if argv[0] == "verify" else argv[0] for argv in pairs}
+        assert commands == {"act", "theta", "trace", "divide", "lemma", "parity", "search", "matching"}
+        assert any("--trace" in argv for argv in pairs)
+        for argv in pairs:
+            code, text, err = _outputs(argv)
+            json_code, json_text, json_err = _outputs(argv + ["--json"])
+            assert (code, err) == (json_code, json_err), argv
+            if code == 2:
+                assert text == json_text == "", argv
+            else:
+                assert text.splitlines() == _text_lines(argv, json.loads(json_text)), argv
 
 
 if __name__ == "__main__":

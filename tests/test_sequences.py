@@ -1,7 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import div2
+from div2.divider import FinInstance, InstanceError
+from div2.localrules import LocalRule
 from div2.sequences import (
     MINUS_INF,
     PLUS_INF,
@@ -207,3 +215,33 @@ def test_biseq_json_validation():
         BiSeq.from_json({"left": 0, "start": 0, "core": [], "right": 0, "x": 1})
     with pytest.raises(ValueError):
         BiSeq.from_json([0, 0])
+
+
+def test_unknown_fields_of_mixed_key_types_raise_the_callers_error():
+    cases = (
+        (FinInstance.from_json, {"X": [], "Y": [], "map": []}, InstanceError, "instance"),
+        (BiSeq.from_json, {"left": 0, "start": 0, "core": [], "right": 0}, ValueError, "sequence"),
+        (LocalRule.from_json, {"w": 0, "table": {"allzero": 1, "allone": -1}}, ValueError, "rule"),
+    )
+    for from_json, fields, error, what in cases:
+        for extra in ({1: 0, "z": 0}, {"z": 0, 1: 0}):
+            with pytest.raises(error) as info:
+                from_json({**fields, **extra})
+            assert type(info.value) is error
+            assert str(info.value) == f"unknown {what} fields: [1, 'z']"
+
+
+def test_unknown_fields_are_named_in_the_same_order_under_any_hash_seed():
+    code = (
+        "from div2.sequences import _check_fields\n"
+        "try:\n"
+        "    _check_fields({'a': 0, **{k: 0 for k in ('q', 'b', 7, 'zz', -3, None, (1, 'x'), 'y')}}, 'thing', ('a',))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(Path(div2.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        outputs.add(run.stdout)
+    assert outputs == {"unknown thing fields: [None, -3, 7, 'b', 'q', 'y', 'zz', (1, 'x')]\n"}

@@ -1,10 +1,16 @@
 """Checks on the package source itself."""
 
 import ast
+import contextlib
+import io
 import sys
 from pathlib import Path
+from unittest import mock
+
+import pytest
 
 import div2
+from div2 import cli
 
 SOURCES = sorted(Path(div2.__file__).parent.glob("*.py"))
 
@@ -31,3 +37,28 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module)
     assert imported
     assert sorted(m for m in imported if m.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+# each module imports only modules before it, so the package has no import cycle
+LAYERS = ("sequences", "dihedral", "theta", "divider", "localrules", "cli", "__init__", "__main__")
+
+
+def test_modules_import_only_earlier_layers():
+    assert sorted(path.stem for path in SOURCES) == sorted(LAYERS)
+    for path in SOURCES:
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                imported.update([node.module] if node.module else (alias.name for alias in node.names))
+        later = [name for name in imported if LAYERS.index(name) >= LAYERS.index(path.stem)]
+        assert later == [], path.name
+
+
+def test_search_help_states_the_search_limits():
+    out = io.StringIO()
+    with mock.patch.object(cli, "MAX_SEARCH_W", 11), mock.patch.object(cli, "MAX_SEARCH_D", 13):
+        with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
+            cli.main(["verify", "search", "--help"])
+    text = " ".join(out.getvalue().split())
+    assert "window radius (at most 11)" in text
+    assert "displacement bound (at most 13)" in text
