@@ -101,6 +101,12 @@ def test_divide_human_output(tmp_path, capsys):
     assert capsys.readouterr().out == "a -> c\nb -> d\n"
 
 
+def test_divide_of_an_empty_instance_prints_nothing(tmp_path, capsys):
+    inst = write(tmp_path, "empty.json", {"X": [], "Y": [], "map": []})
+    assert main(["divide", "--in", inst]) == 0
+    assert capsys.readouterr() == ("", "")
+
+
 def test_divide_writes_matching_file(tmp_path, capsys):
     inst = write(tmp_path, "inst.json", TWO)
     out = str(tmp_path / "match.json")

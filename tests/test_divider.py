@@ -401,6 +401,44 @@ def test_trace_is_periodic_with_orbit_length():
             assert bits[:period] == bits[period:]
 
 
+def test_trace_agrees_with_the_whole_cycle_read_modulo_its_length():
+    # ranges shorter than the cycle, at its length and far past it, on both sides of 0
+    rng = random.Random(23)
+    checked = set()
+    for size in [1, 1, 2, 3] + [rng.randrange(4, 25) for _ in range(36)]:
+        xs = [k if k % 3 else f"x{k}" for k in range(size)]
+        ys = [f"{k}" if k % 2 else -k - 1 for k in range(size)]
+        targets = [(y, j) for y in ys for j in (0, 1)]
+        rng.shuffle(targets)
+        inst = make_instance(xs, ys, targets)
+        for z in rng.sample(inst.copies(), min(6, 4 * size)):
+            orbit = inst._orbit(inst._copy_id(z))
+            p = len(orbit)
+            checked.add((p, z.side, z.bit))
+            far = rng.randrange(3 * p, 40 * p)
+            ranges = [
+                (-p - 1, -1), (-p + 1, -1), (-p, -p + 1), (-1, -1), (-3 * p - 2, -p - 1), (-far - 5, -far),
+                (0, 0), (0, p - 1), (0, p), (0, p + 1), (1, p - 1), (p - 1, p + 1), (far, far + 7),
+                (-1, 0), (-p + 1, p - 1), (-p - 1, p + 1), (-p, p), (-2 * p - 3, 3 * p + 5), (-far, far),
+            ]
+            for lo, hi in ranges:
+                assert chi_trace(inst, z, lo, hi) == [orbit[k % p] & 1 for k in range(lo, hi + 1)], (lo, hi)
+    assert {p for p, _, _ in checked} >= {2, 4, 6, 8} and max(p for p, _, _ in checked) >= 40
+    assert {(side, bit) for _, side, bit in checked} == {("X", 0), ("X", 1), ("Y", 0), ("Y", 1)}
+
+
+def test_trace_of_a_foreign_copy_names_it_as_before():
+    # a backward range names the copy flipped, as sigma_inv names it
+    foreign = CopyElem("X", "zz", 0)
+    for lo, hi, named in ((0, 3, "('zz', 0)"), (-3, 3, "('zz', 1)"), (-3, -1, "('zz', 1)")):
+        with pytest.raises(InstanceError) as err:
+            chi_trace(TWO, foreign, lo, hi)
+        assert str(err.value) == f"copy {named} is not in this instance's X side"
+    with pytest.raises(InstanceError) as err:
+        chi_trace(TWO, CopyElem("Y", "a", 1), -1, 0)
+    assert str(err.value) == "copy ('a', 0) is not in this instance's Y side"
+
+
 # --- divide ---
 
 
