@@ -41,19 +41,12 @@ def _parse_json(data, source: str):
 
     Every failure, too deep a nesting included, is a ValueError naming ``source``.
     """
-    # parsed JSON holds no reference cycles, so the collections that a large
-    # file's many new containers would trigger find nothing
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         return json.loads(data)
     except ValueError as exc:  # JSONDecodeError, or bytes in no UTF encoding
         raise ValueError(f"{source}: not valid JSON: {exc}") from None
     except RecursionError:
         raise ValueError(f"{source}: JSON nested too deeply") from None
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def _load_json(path: str):
@@ -324,23 +317,31 @@ def _join_chi_values(argv):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_join_chi_values(argv))
-    # argparse hands over "--opt=--" as an empty list, without type conversion
-    for name, value in vars(args).items():
-        if value == []:
-            parser.error(f"argument {name}: '--' is not a value")
+    # parsed JSON, the divider's walk and the payloads hold no reference cycles, so the collections
+    # their many new containers would trigger find nothing; the caller's GC state comes back on exit
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        code, payload, lines = args.func(args)
-        if args.json:
-            lines = [_dump(payload)]
-    except ValueError as exc:  # InstanceError and NotReflectionEquivariant among them
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    for line in lines:
-        print(line)
-    return code
+        parser = build_parser()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = parser.parse_args(_join_chi_values(argv))
+        # argparse hands over "--opt=--" as an empty list, without type conversion
+        for name, value in vars(args).items():
+            if value == []:
+                parser.error(f"argument {name}: '--' is not a value")
+        try:
+            code, payload, lines = args.func(args)
+            if args.json:
+                lines = [_dump(payload)]
+        except ValueError as exc:  # InstanceError and NotReflectionEquivariant among them
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        if lines:
+            print("\n".join(lines))
+        return code
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def run() -> None:

@@ -17,11 +17,11 @@ the swap in both directions, so the flip is ``c ^ 1``, the forward step is
 because the label-to-position dicts built during validation give them
 directly; only the paths that need canonical order (``divide``,
 ``sigma_orbits``, ``to_json``) sort, and they sort the X labels alone.
-``CopyElem`` is the type at the public boundary.  A trace walks the orbit
-once and reads iterate ``k`` at ``k mod len(orbit)``, so it costs
-O(cycle + (hi - lo)) however far from 0 ``lo`` lies; its length
-``hi - lo + 1`` is capped at ``MAX_TRACE_LEN`` iterates, since the bits are
-returned as one list.
+``CopyElem`` is the type at the public boundary.  A trace walks only as far
+as its range reaches or once round the cycle, backward as forward from the
+flipped copy, so it costs O(min(cycle, max(|lo|, |hi|)) + (hi - lo)) however
+far from 0 ``lo`` lies; its ``hi - lo + 1`` iterates are capped at
+``MAX_TRACE_LEN``, since the bits are returned as one list.
 
 Validation, ``_validate``, is one pass over the sides and then the map
 entries.  Labels, pairs and bits of the exact types ``str``, ``int``,
@@ -50,19 +50,25 @@ class InstanceError(ValueError):
     """An instance failed validation; the message says where."""
 
 
-def _canonical(labels) -> list:
-    """The labels in canonical order: by type name, then by value within each type.
+def _canonical_order(labels) -> list:
+    """Positions of ``labels`` in canonical order: by type name, then by value within each type.
 
     Each type is sorted on its own, which compares plain labels; sorting on
     ``(type name, label)`` key tuples is about four times slower on 1e5 labels.
     """
     groups: dict = {}
-    for label in labels:
-        groups.setdefault(type(label).__name__, []).append(label)
+    for i, label in enumerate(labels):
+        groups.setdefault(type(label).__name__, []).append(i)
     out: list = []
     for name in sorted(groups):
-        out += sorted(groups[name])
+        out += sorted(groups[name], key=labels.__getitem__)
     return out
+
+
+def _canonical(labels) -> list:
+    """The labels in canonical order."""
+    labels = tuple(labels)
+    return [labels[i] for i in _canonical_order(labels)]
 
 
 def _check_label(label, where: str, *args) -> Label:
@@ -212,12 +218,14 @@ class FinInstance:
             return CopyElem(X_SIDE, self.xs[c >> 1], c & 1)
         return CopyElem(Y_SIDE, self.ys[(c - two_n) >> 1], c & 1)
 
-    def _orbit(self, c: int) -> list:
-        """Copy ids of the forward orbit of copy ``c``, starting at ``c``."""
+    def _orbit(self, c: int, steps: int | None = None) -> list:
+        """Copy ids of the forward orbit of copy ``c`` from ``c`` on: the cycle, or its first ``steps + 1``."""
         swap = self._swap
         orbit = [c]
         cur = swap[c] ^ 1
-        while cur != c:
+        for _ in range(len(swap) if steps is None else steps):
+            if cur == c:
+                break
             orbit.append(cur)
             cur = swap[cur] ^ 1
         return orbit
@@ -240,13 +248,12 @@ class FinInstance:
         return [CopyElem(side, label, b) for side, labels in sides for label in _canonical(labels) for b in (0, 1)]
 
     def to_json(self) -> dict:
-        swap, ys, two_n = self._swap, self.ys, 2 * len(self.xs)
+        swap, xs, ys, two_n = self._swap, self.xs, self.ys, 2 * len(self.xs)
         entries = []
-        for x in _canonical(self._xpos):
-            a = 2 * self._xpos[x]
+        for i in _canonical_order(xs):
             for b in (0, 1):
-                z = swap[a + b]
-                entries.append([[x, b], [ys[(z - two_n) >> 1], z & 1]])
+                z = swap[2 * i + b]
+                entries.append([[xs[i], b], [ys[(z - two_n) >> 1], z & 1]])
         return {"X": list(self.xs), "Y": list(ys), "map": entries}
 
     @classmethod
@@ -271,18 +278,30 @@ def _check_trace_range(lo: int, hi: int) -> None:
         )
 
 
+def _iterate_bits(inst: FinInstance, c: int, first: int, last: int) -> list:
+    """The bits of forward iterates ``first`` to ``last`` of copy ``c``, for ``0 <= first <= last``."""
+    orbit = inst._orbit(c, last)
+    period = len(orbit)
+    if period <= last:  # the walk closed the cycle before its last step
+        return [orbit[k % period] & 1 for k in range(first, last + 1)]
+    return [u & 1 for u in orbit[first:]]
+
+
 def chi_trace(inst: FinInstance, z: CopyElem, lo: int, hi: int) -> list:
     """Copy bits along the forward orbit of ``z``, from iterate ``lo`` to ``hi``.
 
     Entry ``k - lo`` is the bit of the ``k``-th forward iterate of ``z``
     (negative ``k`` steps backward).  At most ``MAX_TRACE_LEN`` iterates.
+    The walks reach ``max(hi, 0)`` steps ahead of ``z`` and ``-lo`` steps
+    ahead of its flipped copy, or once round the cycle if that is shorter.
     """
     _check_trace_range(lo, hi)
     # a backward walk first flips, so a foreign copy is named flipped, as sigma_inv names it
     c = inst._copy_id(z) if lo >= 0 else inst._copy_id(phi(z)) ^ 1
-    orbit = inst._orbit(c)
-    period = len(orbit)
-    return [orbit[k % period] & 1 for k in range(lo, hi + 1)]
+    # sigma^-k = phi sigma^k phi: iterate -k is iterate k of the flipped copy, flipped
+    back = _iterate_bits(inst, c ^ 1, max(-hi, 1), -lo) if lo < 0 else []
+    ahead = _iterate_bits(inst, c, max(lo, 0), hi) if hi >= 0 else []
+    return [b ^ 1 for b in reversed(back)] + ahead
 
 
 def sigma_orbits(inst: FinInstance) -> list:
@@ -290,9 +309,8 @@ def sigma_orbits(inst: FinInstance) -> list:
     # every orbit alternates sides, so its least copy is an X copy
     seen = bytearray(4 * len(inst.xs))
     orbits = []
-    for x in _canonical(inst._xpos):
-        a = 2 * inst._xpos[x]
-        for c in (a, a + 1):
+    for i in _canonical_order(inst.xs):
+        for c in (2 * i, 2 * i + 1):
             if seen[c]:
                 continue
             orbit = inst._orbit(c)
@@ -310,16 +328,15 @@ def divide(inst: FinInstance) -> dict:
     consecutive (X, Y) labels are matched.  Relabeling-equivariant and
     independent of the order X, Y, or the map entries were given in.
     """
-    two_n = 2 * len(inst.xs)
-    labels = _canonical(inst._xpos)
-    xpos = inst._xpos
+    xs, ys = inst.xs, inst.ys
+    two_n = 2 * len(xs)
+    order = _canonical_order(xs)
     # indexed by X position: the walk meets one copy of every label in the
     # cycle and the flipped copies close the same cycle, so a label is done
     # once either copy is met
-    seen = bytearray(len(inst.xs))
-    partner = [0] * len(inst.xs)
-    for x in labels:
-        i = xpos[x]
+    seen = bytearray(len(xs))
+    partner = [0] * len(xs)
+    for i in order:
         if seen[i]:
             continue
         orbit = inst._orbit(2 * i)
@@ -330,8 +347,7 @@ def divide(inst: FinInstance) -> dict:
                 )
             seen[a >> 1] = 1
             partner[a >> 1] = (z - two_n) >> 1
-    ys = inst.ys
-    return {x: ys[partner[xpos[x]]] for x in labels}
+    return {xs[i]: ys[partner[i]] for i in order}
 
 
 def matching_violation(inst: FinInstance, matching: dict) -> str | None:

@@ -536,6 +536,8 @@ def _search_counts(w: int, d: int) -> tuple:
         return done
 
     collisions, missed, tails = walk(0, 0)
+    # walk reaches itself through its closure cell; unbinding it frees the memo now, not at a collection
+    del walk
     # a tail lists the free offsets in ``order``, a permutation of 0 .. w
     survivors = [_equivariant_rule(w, d, tuple(x for _, x in sorted(zip(order, tail)))) for tail in tails]
     return [collisions, missed], survivors

@@ -1,5 +1,6 @@
 import gc
 import json
+import random
 import subprocess
 import sys
 import time
@@ -175,6 +176,50 @@ def test_load_json_restores_gc_state(tmp_path):
             gc.enable()
         else:
             gc.disable()
+
+
+def test_main_restores_gc_state_on_every_exit(tmp_path, capsys):
+    good = write(tmp_path, "good.json", TWO)
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["divide", "--in", good]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["divide", "--in", str(tmp_path / "nope.json")]) == 2
+            assert gc.isenabled() is enabled
+            for argv in (["divide"], ["act", "r", "--help"]):
+                with pytest.raises(SystemExit):
+                    main(argv)
+                assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+
+
+def test_divide_runs_no_gc_collection(tmp_path, capsys):
+    rng = random.Random(29)
+    xs, ys = [f"x{k}" for k in range(2000)], [f"y{k}" for k in range(2000)]
+    targets = [[y, b] for y in ys for b in (0, 1)]
+    rng.shuffle(targets)
+    mapping = [[[x, b], targets[2 * k + b]] for k, x in enumerate(xs) for b in (0, 1)]
+    inst = write(tmp_path, "inst.json", {"X": xs, "Y": ys, "map": mapping})
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(count)
+    try:
+        assert main(["divide", "--in", inst, "--out", str(tmp_path / "out.json"), "--trace", "x0,0,-9,9"]) == 0
+    finally:
+        gc.callbacks.remove(count)
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(capsys.readouterr().out.splitlines()) == 2001
+    assert starts == []
 
 
 def test_divide_rejects_unreadable_file(tmp_path, capsys):

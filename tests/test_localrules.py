@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import random
@@ -667,6 +668,20 @@ def test_search_counts_past_the_limits_are_pinned():
     pinned = {(5, 11): [2693008, 292976], (5, 13): [6759506, 770030], (6, 11): [33460187, 2371621]}
     for (w, d), counts in pinned.items():
         assert localrules._search_counts(w, d) == (counts, [])
+
+
+def test_search_memo_is_freed_when_the_search_returns():
+    # the walk refers to itself; a memo left in that cycle would wait for a collection
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for w, d in ((4, 9), (3, 7)):
+            localrules._search_counts(w, d)
+            assert gc.collect() == 0, (w, d)
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_search_guards():

@@ -62,3 +62,18 @@ def test_search_help_states_the_search_limits():
     text = " ".join(out.getvalue().split())
     assert "window radius (at most 11)" in text
     assert "displacement bound (at most 13)" in text
+
+
+def test_only_main_switches_the_gc():
+    # one GC policy per command: main turns the collector off and restores it
+    switches = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("disable", "enable") and (
+                isinstance(node.value, ast.Name) and node.value.id == "gc"
+            ):
+                owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                switches.add(f"{path.stem}.{max(owners, key=lambda f: f.lineno).name if owners else '<module>'}")
+    assert switches == {"cli.main"}
