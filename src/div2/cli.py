@@ -317,8 +317,8 @@ def _join_chi_values(argv):
 
 
 def main(argv=None) -> int:
-    # parsed JSON, the divider's walk and the payloads hold no reference cycles, so the collections
-    # their many new containers would trigger find nothing; the caller's GC state comes back on exit
+    # parsed JSON, the divider's walk and the payloads hold no reference cycles, so collections during a
+    # command find nothing; the parser's cycles wait for the caller's next one, once its GC state is back
     enabled = gc.isenabled()
     gc.disable()
     try:
