@@ -10,7 +10,6 @@ import argparse
 import gc
 import json
 import sys
-from pathlib import Path
 
 from .dihedral import DihedralElt, ParityPoint
 from .divider import (
@@ -51,7 +50,8 @@ def _parse_json(data, source: str):
 
 def _load_json(path: str):
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as f:
+            data = f.read()
     except OSError as exc:
         raise ValueError(f"{path}: {exc.strerror or exc}") from None
     return _parse_json(data, path)
@@ -166,10 +166,11 @@ def _cmd_divide(args):
     payload = {"pairs": list(matching.items())}
     if args.out:
         try:
-            Path(args.out).write_text(_dump(payload) + "\n")
+            with open(args.out, "w") as f:
+                f.write(_dump(payload) + "\n")
         except OSError as exc:
             raise ValueError(f"{args.out}: {exc.strerror or exc}") from None
-    lines = [f"{x} -> {y}" for x, y in matching.items()]
+    lines = [] if args.json else [f"{x} -> {y}" for x, y in matching.items()]  # main prints --json payloads
     if args.trace:
         payload["trace"] = trace
         lines.append(f"trace {trace['label']},{bit} on [{lo}, {hi}]: " + " ".join(str(b) for b in trace["bits"]))

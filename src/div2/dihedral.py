@@ -9,16 +9,14 @@ sequences, on extended-integer points, and on tagged points are below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from .sequences import MINUS_INF, PLUS_INF, BiSeq, ZInf, _check_bit, _check_int, fin
+from .sequences import MINUS_INF, PLUS_INF, BiSeq, ZInf, _check_bit, _check_int, _Value, fin
 
 EVEN = "even"
 ODD = "odd"
 
 
-@dataclass(frozen=True)
-class ParityPoint:
+class ParityPoint(_Value):
     """An integer with a copy bit; the parity tag is read off ``n``."""
 
     n: int
@@ -44,8 +42,7 @@ def _compose(s1: int, a1: int, s2: int, a2: int) -> tuple:
 _GENERATORS = {"t": (0, 1), "T": (0, -1), "r": (1, 0)}
 
 
-@dataclass(frozen=True)
-class DihedralElt:
+class DihedralElt(_Value):
     """Group element ``r^reflect t^shift`` with ``reflect`` in {0, 1}."""
 
     reflect: int

@@ -33,14 +33,11 @@ a fault counts it from the swap slots the entries before it filled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Union
-
 from . import theta as pairing
 from .dihedral import ParityPoint
-from .sequences import BiSeq, _check_bit, _check_fields
+from .sequences import BiSeq, _check_bit, _check_fields, _Value
 
-Label = Union[str, int]
+Label = str | int
 
 X_SIDE = "X"
 Y_SIDE = "Y"
@@ -166,8 +163,7 @@ def _validate(xs: tuple, ys: tuple, pairs: list):
     return xpos, ypos, swap
 
 
-@dataclass(frozen=True)
-class CopyElem:
+class CopyElem(_Value):
     """One copy of a label: a side, the label, and the copy bit."""
 
     side: str

@@ -34,14 +34,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 
 from .dihedral import R, DihedralElt
-from .sequences import MINUS_INF, ZInf, _check_fields, _check_int, fin
+from .sequences import MINUS_INF, ZInf, _check_fields, _check_int, _Value, fin
 
 
-@dataclass(frozen=True)
-class WindowPattern:
+class WindowPattern(_Value):
     """A decreasing bit vector on ``[-w, w]``: ones strictly below ``cut``.
 
     ``cut`` ranges over ``[-w, w + 1]``; the extremes are the all-zero and
@@ -105,8 +103,7 @@ def all_patterns(w: int) -> tuple:
     return tuple(WindowPattern(w, cut) for cut in range(-w, w + 2))
 
 
-@dataclass(frozen=True)
-class LocalRule:
+class LocalRule(_Value):
     """A total table from radius-``w`` windows to odd displacements bounded by ``d``.
 
     ``offsets[cut + w]`` is the displacement tabled for the pattern with that
@@ -222,8 +219,7 @@ class NotReflectionEquivariant(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class NaiveWitness:
+class NaiveWitness(_Value):
     """A concrete equivariance failure for a constant-shift family."""
 
     g: DihedralElt
@@ -251,8 +247,7 @@ def naive_family_witness(delta: int = 1, chi: ZInf = fin(0), n: int = 0) -> Naiv
     return NaiveWitness(R, chi, n, lhs, rhs)
 
 
-@dataclass(frozen=True)
-class LinearTail:
+class LinearTail(_Value):
     """Tail certificate: displacement ``k`` and an even bound ``N``.
 
     Beyond ``N`` the zero-threshold family is ``n + k`` on the right and
@@ -271,8 +266,7 @@ class LinearTail:
             raise ValueError(f"tail bound {self.N} must exceed |k| = {abs(self.k)}")
 
 
-@dataclass(frozen=True)
-class TailViolation:
+class TailViolation(_Value):
     """A point where the claimed linear tail fails."""
 
     n: int
@@ -323,8 +317,7 @@ def parity_counts(tail: LinearTail) -> tuple:
     return (count(-tail.N, tail.N, 0), count(-tail.N - tail.k, tail.N + tail.k, 1))
 
 
-@dataclass(frozen=True)
-class Collision:
+class Collision(_Value):
     """Two even points sent to the same value at parameter ``chi``."""
 
     chi: ZInf
@@ -333,8 +326,7 @@ class Collision:
     value: int
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(_Value):
     """An odd value missed by the family at parameter ``chi``."""
 
     chi: ZInf
@@ -458,8 +450,7 @@ def iterate_verdicts(w: int, d: int):
         yield rule, _witness(_scan(rule.offsets, *plan))
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(_Value):
     """Outcome of an exhaustive scan of one ``(w, d)`` rule space."""
 
     w: int

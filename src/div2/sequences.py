@@ -10,11 +10,72 @@ window agreement decidable.
 Decreasing sequences are classified by ``ZInf``: the constant sequences are
 the two infinities, and the step with ones strictly below ``n`` is the
 finite point ``n``.
+
+The package's value classes derive from ``_Value``: frozen records that
+compare, hash and print by field, built without importing ``dataclasses``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+
+class _Value:
+    """Base of the frozen value classes: the fields are the class's own annotations.
+
+    A class attribute of a field's name is its default.  ``__init__`` takes
+    the fields by position or keyword into the instance dict, which holds
+    nothing else, then runs ``__post_init__`` to check them.  As in a frozen
+    dataclass, instances of one class are equal when their fields are, hash
+    as the field tuple and print as ``Name(field=value, ...)``; assignment
+    and deletion raise ``AttributeError``.  ``__match_args__`` lists fields.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = tuple(cls.__annotations__)
+        cls._defaults = {name: cls.__dict__[name] for name in cls.__match_args__ if name in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self.__match_args__):
+            args = self._bind(args, kwargs)
+        self.__dict__.update(zip(self.__match_args__, args))
+        self.__post_init__()
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
+        """The field values from positional and keyword arguments, with the defaults filled in."""
+        fields, name = cls.__match_args__, cls.__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
+        for key in kwargs:
+            if key not in fields[len(args):]:
+                what = "multiple values for argument" if key in fields else "an unexpected keyword argument"
+                raise TypeError(f"{name}() got {what} {key!r}")
+        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
+        missing = [key for key in fields if key not in values]
+        if missing:
+            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
+        return tuple(values[key] for key in fields)
+
+    def __post_init__(self):
+        pass
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.__dict__ == other.__dict__
+
+    def __hash__(self):
+        return hash(tuple(map(self.__dict__.__getitem__, self.__match_args__)))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _check_bit(value, what: str = "bit") -> int:
@@ -46,8 +107,7 @@ def _check_fields(obj, what: str, required, optional=(), error=ValueError) -> No
         raise error(f"unknown {what} fields: {extra}")
 
 
-@dataclass(frozen=True)
-class ZInf:
+class ZInf(_Value):
     """A point of the extended integer line: ``-inf``, a finite ``n``, or ``+inf``.
 
     Each point names a decreasing sequence: ``fin(n)`` is 1 strictly below
@@ -120,8 +180,7 @@ def parse_zinf(text: str) -> ZInf:
         ) from None
 
 
-@dataclass(frozen=True)
-class BiSeq:
+class BiSeq(_Value):
     """An eventually constant two-sided binary sequence, in canonical form.
 
     The constructor trims core entries that merely repeat the adjacent tail

@@ -16,14 +16,12 @@ families cannot do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .dihedral import DihedralElt, ParityPoint
-from .sequences import BiSeq
+from .sequences import BiSeq, _Value
 
 
-@dataclass(frozen=True)
-class ThetaResult:
+class ThetaResult(_Value):
     """Image point plus the chi indices the value actually read."""
 
     point: ParityPoint
@@ -45,8 +43,7 @@ def window_radius(p: ParityPoint) -> int:
     return abs(p.n) + 2
 
 
-@dataclass(frozen=True)
-class SelfInverseWitness:
+class SelfInverseWitness(_Value):
     chi: BiSeq
     p: ParityPoint
     image: ParityPoint
@@ -62,8 +59,7 @@ def self_inverse_witness(chi: BiSeq, p: ParityPoint) -> SelfInverseWitness | Non
     return SelfInverseWitness(chi, p, image, back)
 
 
-@dataclass(frozen=True)
-class EquivarianceWitness:
+class EquivarianceWitness(_Value):
     g: DihedralElt
     chi: BiSeq
     p: ParityPoint

@@ -261,6 +261,20 @@ def test_divide_unwritable_out_exits_two(tmp_path, capsys):
         assert captured.err == f"error: {out}: {reason}\n"
 
 
+def test_paths_are_opened_as_given(tmp_path, capsys):
+    # an empty path names no file, and a file path with a trailing slash names no directory
+    inst = write(tmp_path, "inst.json", TWO)
+    cases = [
+        (["divide", "--in", ""], "error: : No such file or directory\n"),
+        (["verify", "matching", "--inst", inst, "--match", ""], "error: : No such file or directory\n"),
+        (["divide", "--in", inst + "/"], f"error: {inst}/: Not a directory\n"),
+        (["divide", "--in", inst, "--out", inst + "/"], f"error: {inst}/: Is a directory\n"),
+    ]
+    for argv, err in cases:
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", err)
+
+
 def test_trace_subcommand(tmp_path, capsys):
     one = {"X": ["x"], "Y": ["y"], "map": [[["x", 0], ["y", 0]], [["x", 1], ["y", 1]]]}
     inst = write(tmp_path, "one.json", one)

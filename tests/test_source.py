@@ -3,6 +3,8 @@
 import ast
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -37,6 +39,29 @@ def test_package_imports_only_the_standard_library():
                 imported.add(node.module)
     assert imported
     assert sorted(m for m in imported if m.split(".")[0] not in sys.stdlib_module_names) == []
+
+
+# what every command would pay at start-up: dataclasses alone pulls in inspect, ast, dis and tokenize
+SLOW_IMPORTS = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "pathlib")
+
+
+def test_package_imports_no_slow_module():
+    imported = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    assert sorted(imported & set(SLOW_IMPORTS)) == []
+
+
+def test_importing_the_cli_loads_no_slow_module():
+    # -S keeps site's own imports (typing and pathlib, for some .pth files) out of the count
+    env = dict(os.environ, PYTHONPATH=str(Path(div2.__file__).parent.parent))
+    code = f"import sys, div2.cli; print(sorted(set({SLOW_IMPORTS!r}) & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # each module imports only modules before it, so the package has no import cycle
