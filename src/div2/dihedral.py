@@ -9,7 +9,6 @@ sequences, on extended-integer points, and on tagged points are below.
 
 from __future__ import annotations
 
-
 from .sequences import MINUS_INF, PLUS_INF, BiSeq, ZInf, _check_bit, _check_int, _Value, fin
 
 EVEN = "even"

@@ -16,7 +16,6 @@ families cannot do.
 
 from __future__ import annotations
 
-
 from .dihedral import DihedralElt, ParityPoint
 from .sequences import BiSeq, _Value
 
