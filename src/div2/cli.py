@@ -1,7 +1,8 @@
 """Command-line front end: divide, theta, trace, act, verify.
 
 Exit codes: 0 for success, 1 when a verification finds a result that should
-be impossible, 2 for malformed input of any kind.
+be impossible, 2 for malformed input of any kind or a run out of memory, and
+141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import sys
 
 from .dihedral import DihedralElt, ParityPoint
@@ -340,13 +342,24 @@ def main(argv=None) -> int:
         if lines:
             print("\n".join(lines))
         return code
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     finally:
         if enabled:
             gc.enable()
 
 
 def run() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; with fd 1 on devnull the interpreter's last flush cannot fail again.
+        # 141 = 128 + SIGPIPE, what a shell reports for a writer that the pipe ended
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -27,7 +27,9 @@ never on the offsets, so the search fixes the free offsets (cuts ``-w .. 0``)
 in one order, ``f0, f1, f3, f4, f2`` for ``w = 4``, each level adding every
 point that reads its offset (both tails at level 0).  Collision or gap does
 not depend on scan order, so a collision among the points of a prefix fails
-every rule extending it, and the search counts all of those at once.
+every rule extending it, and the search counts all of those at once.  It
+walks once per class of prefixes that agree on the image bits deeper levels
+can hit and on whether a gap none of them reaches is left open.
 """
 
 from __future__ import annotations
@@ -486,27 +488,37 @@ def _search_counts(w: int, d: int) -> tuple:
     A collision there fails every completion, so all of them are counted at
     once.  A leaf holds every point of the window; only gaps are left.
 
-    The walk below a level reads its parent's mask only through
-    ``parent & mask`` and ``gaps & ~(parent | mask)`` for the masks of that
-    level and the deeper ones, so its outcome depends only on the parent's
-    bits in ``seen[level]``, the gap window ORed with every mask of
-    ``rows[level:]``.  Each level caches its outcome under that key: the
-    collision and gap counts and the survivors' offsets from that level on.  The memo is exact: ``seen`` shrinks
-    with depth, so a key determines the keys below it, and every leaf
-    outcome still comes from the same mask tests.
+    Below a level, the walk reads its parent's mask only on ``fut[level]``,
+    the union of the masks of ``rows[level:]``, and through one flag: some
+    gap bit outside it is uncovered, so every completion without a collision
+    fails on a gap.  Each level caches its outcome (counts, and survivors'
+    offsets from that level on) under that key and flag.  A child keys on
+    ``(key | mask) & fut[level + 1]``, and sets the flag if a gap bit of
+    ``drop[level]`` is uncovered.
+
+    Past level 0 a row holds one point, since of the two table positions
+    reading a free offset ``j >= 1`` exactly one belongs to an even ``n``.
+    So for ``w >= 1`` each leaf mask is one bit, and the parent decides a
+    leaf in one step, unmemoized: its collisions are the parent's bits in
+    ``window``; the other values all fail on a gap if the flag is set or two
+    gap bits of ``window`` are uncovered, all but the one landing on it if
+    one is, and none if none is.  ``w = 0`` keeps the loop.
     """
     _, gaps, _, order, rows = _scan_plan(w, d, 0)
     last = len(order) - 1
     decided = [len(rows[0]) ** (last - level) for level in range(last + 1)]
-    seen = [gaps]
+    fut = [0]
     for row in reversed(rows):
-        seen.append(functools.reduce(int.__or__, (mask for _, mask in row if mask is not None), seen[-1]))
-    seen.reverse()
+        fut.append(functools.reduce(int.__or__, (mask for _, mask in row if mask is not None), fut[-1]))
+    fut.reverse()
+    # the gap bits that each level keys on and its children do not
+    drop = [gaps & fut[level] & ~fut[level + 1] for level in range(last + 1)]
+    window, leaf = fut[last], {mask: x for x, mask in rows[last]}
     memo = [{} for _ in rows]
 
-    def walk(level: int, parent: int) -> tuple:
-        key = parent & seen[level]
-        done = memo[level].get(key)
+    def walk(level: int, key: int, lost: bool) -> tuple:
+        slot = ~key if lost else key
+        done = memo[level].get(slot)
         if done is not None:
             return done
         collisions = missed = 0
@@ -514,19 +526,34 @@ def _search_counts(w: int, d: int) -> tuple:
         for x, mask in rows[level]:
             if mask is None or key & mask:
                 collisions += decided[level]
+            elif level + 1 < last:
+                child = key | mask
+                sub = walk(level + 1, child & fut[level + 1], lost or drop[level] & ~child != 0)
+                collisions += sub[0]
+                missed += sub[1]
+                if sub[2]:
+                    tails += [(x, *tail) for tail in sub[2]]
             elif level < last:
-                below = walk(level + 1, key | mask)
-                collisions += below[0]
-                missed += below[1]
-                tails += [(x, *tail) for tail in below[2]]
-            elif gaps & ~(key | mask):
+                # the leaf below, for w >= 1: one bit per value, so ``child`` marks the colliding ones
+                child = key | mask
+                hits = (child & window).bit_count()
+                uncovered = gaps & window & ~child
+                collisions += hits
+                if lost or drop[level] & ~child or uncovered & (uncovered - 1):
+                    missed += len(leaf) - hits
+                elif uncovered:
+                    missed += len(leaf) - hits - 1
+                    tails.append((x, leaf[uncovered]))
+                else:
+                    tails += [(x, y) for y, bit in rows[last] if not child & bit]
+            elif lost or gaps & window & ~(key | mask):
                 missed += 1
             else:
                 tails.append((x,))
-        memo[level][key] = done = (collisions, missed, tails)
+        memo[level][slot] = done = (collisions, missed, tails)
         return done
 
-    collisions, missed, tails = walk(0, 0)
+    collisions, missed, tails = walk(0, 0, gaps & ~fut[0] != 0)
     # walk reaches itself through its closure cell; unbinding it frees the memo now, not at a collection
     del walk
     # a tail lists the free offsets in ``order``, a permutation of 0 .. w
@@ -545,11 +572,12 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     between rules by a depth-first walk whose levels each add every point
     that reads one free offset (the tails at level 0), so every point of
     every rule's window is checked.  The walk decides each subtree once per
-    distinct set of image bits its masks and the gap window can still read;
-    prefixes that agree on those bits have the same completions fail in the
-    same way, so the memo changes no count and no survivor.  ``jobs`` must
-    be a positive integer but does not change the run: inside the size
-    limits the whole search takes less time than starting a worker pool.
+    distinct set of image bits its masks can still hit, with one flag for a
+    gap no deeper point can cover; prefixes that agree on both have the same
+    completions fail in the same way, so the memo changes no count and no
+    survivor.  ``jobs`` must be a positive integer but does not change the
+    run: inside the size limits the whole search takes less time than
+    starting a worker pool.
     """
     for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
         if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:

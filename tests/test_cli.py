@@ -1,12 +1,15 @@
 import gc
 import json
+import os
 import random
+import resource
 import subprocess
 import sys
 import time
 
 import pytest
 
+import div2
 from div2.cli import _load_json, main
 from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance, sigma_orbits
 
@@ -580,3 +583,41 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-5\n"
+
+
+# --- the exit-code contract under a hostile environment ---
+
+
+@pytest.fixture(scope="module")
+def large_instance(tmp_path_factory):
+    # 1e5 labels: about 7 MB of JSON, a few hundred MB to load, and 1.6 MB of divide output
+    n = 100_000
+    targets = [[n + i // 2, i % 2] for i in range(2 * n)]
+    random.Random(3).shuffle(targets)
+    inst = {"X": list(range(n)), "Y": list(range(n, 2 * n)), "map": [[[i // 2, i % 2], targets[i]] for i in range(2 * n)]}
+    path = tmp_path_factory.getbasetemp() / "large-instance.json"
+    path.write_text(json.dumps(inst))
+    return str(path)
+
+
+def divide_process(path, **kwargs):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(div2.__file__)))
+    return subprocess.Popen([sys.executable, "-m", "div2", "divide", "--in", path], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+def test_running_out_of_memory_exits_two_without_a_traceback(large_instance):
+    # the interpreter starts in under 40 MB of address space; loading the instance needs more than 120 MB
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (80 << 20, 80 << 20))
+
+    proc = divide_process(large_instance, stdout=subprocess.PIPE, preexec_fn=cap)
+    out, err = proc.communicate()
+    assert (proc.returncode, out, err) == (2, b"", b"error: out of memory\n")
+
+
+def test_a_reader_that_stops_early_ends_the_command_quietly(large_instance):
+    proc = divide_process(large_instance, stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(), err) == (141, b"")

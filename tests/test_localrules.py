@@ -668,6 +668,42 @@ def test_search_counts_past_the_limits_are_pinned():
     pinned = {(5, 11): [2693008, 292976], (5, 13): [6759506, 770030], (6, 11): [33460187, 2371621]}
     for (w, d), counts in pinned.items():
         assert localrules._search_counts(w, d) == (counts, [])
+    # counts of the walk keyed on every bit the deeper levels and the gap window read, and of the walk
+    # keyed on the deeper levels' bits and one lost-gap flag; (12, 11) only the latter has reached
+    pinned = {
+        (9, 9): [9885734334, 114265666],
+        (10, 9): [99381325487, 618674513],
+        (10, 11): [736752428979, 6255941709],
+        (12, 9): [9983048495044, 16951504956],
+        (12, 11): [106729499617335, 263705761737],
+    }
+    for (w, d), counts in pinned.items():
+        assert sum(counts) == (d + 1) ** (w + 1)
+        assert localrules._search_counts(w, d) == (counts, [])
+
+
+def test_search_does_not_depend_on_the_order_of_its_levels(monkeypatch):
+    # collision and gap do not depend on the order the walk fixes the free offsets in, so permuting
+    # levels 1 .. last of the plan must change no count and no survivor; level 0 stays first, since it
+    # holds the tails and every later level one point.  Dropping a few bits of the gap window lets
+    # thousands of rules survive, whose tails the walk shares between prefixes and rebuilds in order
+    real = localrules._scan_plan
+    rng = random.Random(16)
+    survived = 0
+    for w, d in ((6, 13), (9, 9)):
+        runs, gaps, origin, order, rows = real(w, d, 0)
+        bits = [b for b in range(gaps.bit_length()) if gaps >> b & 1]
+        for window in (gaps, gaps & ~sum(1 << b for b in rng.sample(bits, rng.randint(1, 3)))):
+            monkeypatch.setattr(localrules, "_scan_plan", lambda *_: (runs, window, origin, order, rows))
+            counts, survivors = localrules._search_counts(w, d)
+            perm = [0, *rng.sample(range(1, len(order)), len(order) - 1)]
+            permuted = (runs, window, origin, tuple(order[k] for k in perm), [rows[k] for k in perm])
+            monkeypatch.setattr(localrules, "_scan_plan", lambda *_: permuted)
+            again, others = localrules._search_counts(w, d)
+            assert again == counts, (w, d, perm)
+            assert sorted(rule.offsets for rule in others) == sorted(rule.offsets for rule in survivors)
+            survived += len(survivors)
+    assert survived
 
 
 def test_search_memo_is_freed_when_the_search_returns():
@@ -676,7 +712,7 @@ def test_search_memo_is_freed_when_the_search_returns():
     gc.collect()
     gc.disable()
     try:
-        for w, d in ((4, 9), (3, 7)):
+        for w, d in ((4, 9), (3, 7), (9, 9)):
             localrules._search_counts(w, d)
             assert gc.collect() == 0, (w, d)
     finally:
