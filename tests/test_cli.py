@@ -590,7 +590,7 @@ def test_module_entry_point_runs():
 
 @pytest.fixture(scope="module")
 def large_instance(tmp_path_factory):
-    # 1e5 labels: about 7 MB of JSON, a few hundred MB to load, and 1.6 MB of divide output
+    # 1e5 labels: about 7 MB of JSON that needs over 120 MB of address space to load, and 1.6 MB of divide output
     n = 100_000
     targets = [[n + i // 2, i % 2] for i in range(2 * n)]
     random.Random(3).shuffle(targets)

@@ -668,8 +668,8 @@ def test_search_counts_past_the_limits_are_pinned():
     pinned = {(5, 11): [2693008, 292976], (5, 13): [6759506, 770030], (6, 11): [33460187, 2371621]}
     for (w, d), counts in pinned.items():
         assert localrules._search_counts(w, d) == (counts, [])
-    # counts of the walk keyed on every bit the deeper levels and the gap window read, and of the walk
-    # keyed on the deeper levels' bits and one lost-gap flag; (12, 11) only the latter has reached
+    # counts given by two memo keys, every bit the deeper levels and the gap window read and the deeper
+    # levels' bits with one lost-gap flag; (12, 11) only by the second, which makes it fast enough to run
     pinned = {
         (9, 9): [9885734334, 114265666],
         (10, 9): [99381325487, 618674513],
