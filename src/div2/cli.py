@@ -1,8 +1,9 @@
 """Command-line front end: divide, theta, trace, act, verify.
 
 Exit codes: 0 for success, 1 when a verification finds a result that should
-be impossible, 2 for malformed input of any kind or a run out of memory, and
-141 when the reader of stdout closes it early.
+be impossible, 2 for malformed input of any kind, a run out of memory or a
+failed write to stdout, 130 when the user interrupts the run, and 141 when
+the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -359,6 +360,12 @@ def run() -> None:
         # 141 = 128 + SIGPIPE, what a shell reports for a writer that the pipe ended
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 141
+    except OSError as exc:  # stdout on a full disk, or any other failed write
+        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 2
+    except KeyboardInterrupt:
+        code = 130  # 128 + SIGINT
     raise SystemExit(code)
 
 

@@ -335,15 +335,12 @@ class Gap(_Value):
     value: int
 
 
-MAX_PAD = 10**6
-
-
 def _odd_offsets(d: int) -> tuple:
     return tuple(k for k in range(-d, d + 1) if k % 2 != 0)
 
 
 @functools.lru_cache(maxsize=64)
-def _scan_plan(w: int, d: int, pad: int) -> tuple:
+def _scan_plan(w: int, d: int) -> tuple:
     """The threshold-0 probe scan as bit masks, ``(runs, gaps, origin, order, rows)``.
 
     Value ``v`` is bit ``v + origin``.  ``runs`` lists, in scan order,
@@ -353,12 +350,12 @@ def _scan_plan(w: int, d: int, pad: int) -> tuple:
     ``i > w``), and the run's values are ``ones << (low + table[i])``.  Only
     the two tails are longer than one point, and each is one shift.
     ``gaps`` masks the odd values the scan must cover.  ``order`` lists the
-    free offsets in the order the scan first reads them.  For ``pad = 0``,
-    ``rows[k]`` pairs each value ``x`` of free offset ``order[k]`` with the
-    mask of every point that reads it, or None if those points collide.
+    free offsets in the order the scan first reads them, and ``rows[k]``
+    pairs each value ``x`` of free offset ``order[k]`` with the mask of
+    every point that reads it, or None if those points collide.
     """
-    reach = w + 2 * d + 4 + pad
-    span = w + d + 2 + pad
+    reach = w + 2 * d + 4
+    span = w + d + 2
     origin = reach + d  # no value lies below -reach - d
     ns = range(-reach + reach % 2, reach + 1, 2)
     # position 2w + 1 for n < -w and position 0 for n >= w
@@ -366,20 +363,23 @@ def _scan_plan(w: int, d: int, pad: int) -> tuple:
     runs = [(ns[:left], 2 * w + 1)]
     runs += [(ns[k:k + 1], w - ns[k]) for k in range(left, right)]
     runs.append((ns[right:], 0))
-    order = tuple(dict.fromkeys(min(i, 2 * w + 1 - i) for _, i in runs))
     # a step-2 range of length L at bit 0 is the mask (4**L - 1) // 3
     runs = tuple((r, i, ((1 << 2 * len(r)) - 1) // 3, r.start + origin) for r, i in runs)
     odds = range(-span + 1 - span % 2, span + 1, 2)
     gaps = ((1 << 2 * len(odds)) - 1) // 3 << (odds.start + origin)
+    # the runs reading each free offset, keyed in the order the scan first reads them
+    levels = {}
+    for _, i, ones, low in runs:
+        levels.setdefault(min(i, 2 * w + 1 - i), []).append((ones, low, 1 if i <= w else -1))
     rows = []
-    for j in order if pad == 0 else ():
+    for parts in levels.values():
         rows.append([])
         for x in _odd_offsets(d):
-            parts = [ones << (low + (x if i <= w else -x)) for _, i, ones, low in runs if min(i, 2 * w + 1 - i) == j]
-            # the sum equals the union exactly when no two parts share a bit
-            mask = functools.reduce(int.__or__, parts)
-            rows[-1].append((x, mask if mask == sum(parts) else None))
-    return runs, gaps, origin, order, rows
+            masks = [ones << (low + sign * x) for ones, low, sign in parts]
+            # the sum equals the union exactly when no two masks share a bit
+            mask = functools.reduce(int.__or__, masks)
+            rows[-1].append((x, mask if mask == sum(masks) else None))
+    return runs, gaps, origin, tuple(levels), rows
 
 
 def _scan(table, runs, gaps: int, origin: int):
@@ -408,28 +408,24 @@ def _witness(failure):
     return Collision(fin(0), *failure) if len(failure) == 3 else Gap(fin(0), *failure)
 
 
-def bijectivity_witness(rule: LocalRule, pad: int = 0):
+def bijectivity_witness(rule: LocalRule):
     """First collision or gap of the family at threshold 0, or None.
 
     At a threshold ``m`` the family is a rigid shift outside the window
     ``|n - m| <= w``, so colliding pairs lie within ``w + 2d + 4`` of ``m``
     (two displacements differ by at most ``2d``) and uncovered odd values
     within ``w + d + 2`` (beyond that the matching tail covers).  Scanning
-    those finite windows therefore decides bijectivity exactly; ``pad``
-    widens both scans, which must never change the verdict.  Only threshold
-    ``0`` is scanned: the infinities give rigid shifts, so ``0`` is the
-    first probe that can fail, and ``eventually_linear`` with
+    those finite windows therefore decides bijectivity exactly.  Only
+    threshold ``0`` is scanned: the infinities give rigid shifts, so ``0``
+    is the first probe that can fail, and ``eventually_linear`` with
     ``parity_counts`` says it always does.  None would mean a rule that
     contradicts that lemma.  Raises NotReflectionEquivariant for rules
-    outside the hypothesis, and ValueError for a ``pad`` that is not an
-    integer in ``[0, MAX_PAD]``.
+    outside the hypothesis.
     """
     bad = r_equivariance_witness(rule)
     if bad is not None:
         raise NotReflectionEquivariant(bad)
-    if not isinstance(pad, int) or isinstance(pad, bool) or not 0 <= pad <= MAX_PAD:
-        raise ValueError(f"pad must be a non-negative integer at most {MAX_PAD}, got {pad!r}")
-    return _witness(_scan(rule.offsets, *_scan_plan(rule.w, rule.d, pad)[:3]))
+    return _witness(_scan(rule.offsets, *_scan_plan(rule.w, rule.d)[:3]))
 
 
 def equivariant_rules(w: int, d: int):
@@ -447,7 +443,7 @@ def equivariant_rules(w: int, d: int):
 
 def iterate_verdicts(w: int, d: int):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
-    plan = _scan_plan(w, d, 0)[:3]
+    plan = _scan_plan(w, d)[:3]
     for rule in equivariant_rules(w, d):
         yield rule, _witness(_scan(rule.offsets, *plan))
 
@@ -504,7 +500,7 @@ def _search_counts(w: int, d: int) -> tuple:
     gap bits of ``window`` are uncovered, all but the one landing on it if
     one is, and none if none is.  ``w = 0`` keeps the loop.
     """
-    _, gaps, _, order, rows = _scan_plan(w, d, 0)
+    _, gaps, _, order, rows = _scan_plan(w, d)
     last = len(order) - 1
     decided = [len(rows[0]) ** (last - level) for level in range(last + 1)]
     fut = [0]

@@ -26,6 +26,9 @@ TWO = {
 
 GAP_RULE = {"w": 0, "table": {"allzero": 1, "allone": -1}}
 
+# children import the package from the same place as this test run, installed or not
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(div2.__file__)))
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -578,6 +581,7 @@ def test_missing_subcommand_exits_two():
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "div2", "act", "r", "5"],
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
     )
@@ -601,8 +605,7 @@ def large_instance(tmp_path_factory):
 
 
 def divide_process(path, **kwargs):
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(div2.__file__)))
-    return subprocess.Popen([sys.executable, "-m", "div2", "divide", "--in", path], env=env, stderr=subprocess.PIPE, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "div2", "divide", "--in", path], env=CHILD_ENV, stderr=subprocess.PIPE, **kwargs)
 
 
 def test_running_out_of_memory_exits_two_without_a_traceback(large_instance):
@@ -621,3 +624,20 @@ def test_a_reader_that_stops_early_ends_the_command_quietly(large_instance):
     proc.stdout.close()
     err = proc.stderr.read()
     assert (proc.wait(), err) == (141, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance):
+    # exit 1 is reserved for a verification that finds an impossible result
+    for argv in (["act", "r", "5"], ["divide", "--in", large_instance]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "div2", *argv], env=CHILD_ENV, stdout=full, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert proc.stderr.startswith("error: stdout: ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_an_interrupt_exits_130_quietly():
+    child = "import div2.cli as cli\ndef main():\n    raise KeyboardInterrupt\ncli.main = main\ncli.run()\n"
+    proc = subprocess.run([sys.executable, "-c", child], env=CHILD_ENV, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (130, "")
