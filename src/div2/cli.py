@@ -4,13 +4,16 @@ Exit codes: 0 for success, 1 when a verification finds a result that should
 be impossible, 2 for malformed input of any kind, a run out of memory or a
 failed write to stdout, 130 when the user interrupts the run, and 141 when
 the reader of stdout closes it early.
+
+``json`` is imported on first use, by a command that reads a file, takes a
+JSON ``--chi`` or prints ``--json``.  ``act`` and ``theta`` with a threshold
+``--chi``, ``verify parity`` and a text-mode ``verify search`` never load it.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import os
 import sys
 
@@ -43,6 +46,8 @@ def _parse_json(data, source: str):
 
     Every failure, too deep a nesting included, is a ValueError naming ``source``.
     """
+    import json  # here and in _dump, so that commands without JSON input or output never load it
+
     try:
         return json.loads(data)
     except ValueError as exc:  # JSONDecodeError, or bytes in no UTF encoding
@@ -69,6 +74,8 @@ def _parse_chi(text: str) -> ZInf | BiSeq:
 
 
 def _dump(payload) -> str:
+    import json
+
     return json.dumps(payload, sort_keys=True)
 
 

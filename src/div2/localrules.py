@@ -340,8 +340,8 @@ def _odd_offsets(d: int) -> tuple:
 
 
 @functools.lru_cache(maxsize=64)
-def _scan_plan(w: int, d: int) -> tuple:
-    """The threshold-0 probe scan as bit masks, ``(runs, gaps, origin, order, rows)``.
+def _scan_runs(w: int, d: int) -> tuple:
+    """The threshold-0 probe scan as bit masks, ``(runs, gaps, origin)``.
 
     Value ``v`` is bit ``v + origin``.  ``runs`` lists, in scan order,
     ``(ns, i, ones, low)``: every even ``n`` in the range ``ns`` reads table
@@ -349,10 +349,7 @@ def _scan_plan(w: int, d: int) -> tuple:
     ``n + table[i]`` (free offset ``min(i, 2w + 1 - i)``, negated when
     ``i > w``), and the run's values are ``ones << (low + table[i])``.  Only
     the two tails are longer than one point, and each is one shift.
-    ``gaps`` masks the odd values the scan must cover.  ``order`` lists the
-    free offsets in the order the scan first reads them, and ``rows[k]``
-    pairs each value ``x`` of free offset ``order[k]`` with the mask of
-    every point that reads it, or None if those points collide.
+    ``gaps`` masks the odd values the scan must cover.
     """
     reach = w + 2 * d + 4
     span = w + d + 2
@@ -367,6 +364,19 @@ def _scan_plan(w: int, d: int) -> tuple:
     runs = tuple((r, i, ((1 << 2 * len(r)) - 1) // 3, r.start + origin) for r, i in runs)
     odds = range(-span + 1 - span % 2, span + 1, 2)
     gaps = ((1 << 2 * len(odds)) - 1) // 3 << (odds.start + origin)
+    return runs, gaps, origin
+
+
+@functools.lru_cache(maxsize=64)
+def _scan_plan(w: int, d: int) -> tuple:
+    """The scan of ``_scan_runs`` with the search walk's levels, ``(runs, gaps, origin, order, rows)``.
+
+    ``order`` lists the free offsets in the order the scan first reads them,
+    and ``rows[k]`` pairs each value ``x`` of free offset ``order[k]`` with
+    the mask of every point that reads it, or None if those points collide.
+    Cached apart from the runs, so that a witness of a wide rule holds no rows.
+    """
+    runs, gaps, origin = _scan_runs(w, d)
     # the runs reading each free offset, keyed in the order the scan first reads them
     levels = {}
     for _, i, ones, low in runs:
@@ -425,7 +435,7 @@ def bijectivity_witness(rule: LocalRule):
     bad = r_equivariance_witness(rule)
     if bad is not None:
         raise NotReflectionEquivariant(bad)
-    return _witness(_scan(rule.offsets, *_scan_plan(rule.w, rule.d)[:3]))
+    return _witness(_scan(rule.offsets, *_scan_runs(rule.w, rule.d)))
 
 
 def equivariant_rules(w: int, d: int):

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -402,15 +403,31 @@ def test_bijectivity_requires_equivariance():
 
 
 def test_first_witness_of_a_wide_radius_comes_within_a_second():
-    # the plan's rows grow with the number of runs times the offset values, not with its square
+    # the scan's runs grow linearly with the radius
     w = 2000
     rule = LocalRule(w, 9, (1,) * (w + 1) + (-1,) * (w + 1))
-    localrules._scan_plan.cache_clear()
+    localrules._scan_runs.cache_clear()
     start = time.perf_counter()
     witness = bijectivity_witness(rule)
     elapsed = time.perf_counter() - start
     assert witness == Gap(fin(0), -1)
     assert elapsed < 1.0, elapsed
+
+
+def test_a_witness_of_a_wide_radius_holds_no_walk_rows():
+    # only the search's plan holds the walk's rows, about 8 MB at this radius; the witness's cached runs stay small
+    w = 2000
+    rule = LocalRule(w, 9, (1,) * (w + 1) + (-1,) * (w + 1))
+    localrules._scan_runs.cache_clear()
+    localrules._scan_plan.cache_clear()
+    tracemalloc.start()
+    try:
+        witness = bijectivity_witness(rule)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness == Gap(fin(0), -1)
+    assert held < 1 << 20, held
 
 
 def decode(mask, origin):

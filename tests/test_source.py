@@ -64,6 +64,17 @@ def test_importing_the_cli_loads_no_slow_module():
     assert out.stdout.strip() == "[]"
 
 
+def test_only_a_command_with_json_loads_json():
+    # a short command without JSON input or output never imports json; the first --json one does
+    env = dict(os.environ, PYTHONPATH=str(Path(div2.__file__).parent.parent))
+    code = (
+        "import sys, div2.cli as c; c.build_parser(); c.main(['act', 'r', '5']); print('json' in sys.modules); "
+        "c.main(['act', 'r', '5', '--json']); print('json' in sys.modules)"
+    )
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == ["-5", "False", '{"n": -5, "reflect": 1, "shift": 0, "word": "r"}', "True"]
+
+
 # each module imports only modules before it, so the package has no import cycle
 LAYERS = ("sequences", "dihedral", "theta", "divider", "localrules", "cli", "__init__", "__main__")
 
