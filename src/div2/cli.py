@@ -33,6 +33,7 @@ from .localrules import (
     LinearTail,
     LocalRule,
     TailViolation,
+    _tail_windows,
     eventually_linear,
     exhaustive_search,
     parity_counts,
@@ -198,8 +199,7 @@ def _cmd_verify_lemma(args):
             "actual": outcome.actual,
         }
         return 1, payload, [f"tail FAILS at n={outcome.n}: expected {outcome.expected}, got {outcome.actual}"]
-    right = (outcome.N, outcome.N + 2 * rule.w + 4)
-    left = (-outcome.N - 2 * rule.w - 4, -outcome.N)
+    right, left = _tail_windows(rule.w, outcome.N)
     payload = {
         "verified": True,
         "k": outcome.k,

@@ -9,7 +9,7 @@ sequences, on extended-integer points, and on tagged points are below.
 
 from __future__ import annotations
 
-from .sequences import MINUS_INF, PLUS_INF, BiSeq, ZInf, _check_bit, _check_int, _Value, fin
+from .sequences import BiSeq, ZInf, _check_bit, _check_int, _Value, embed
 
 EVEN = "even"
 ODD = "odd"
@@ -93,13 +93,8 @@ class DihedralElt(_Value):
         return BiSeq(1 - shifted.right, 1 - shifted.start - len(core), core, 1 - shifted.left)
 
     def act_zinf(self, p: ZInf) -> ZInf:
-        """Action on extended-integer points, matching act_seq through embed."""
-        if not p.is_finite:
-            if self.reflect:
-                return PLUS_INF if p.kind < 0 else MINUS_INF
-            return p
-        n = p.threshold + 2 * self.shift
-        return fin(1 - n) if self.reflect else fin(n)
+        """Action on extended-integer points: act on the sequence ``p`` stands for, and classify the image."""
+        return self.act_seq(embed(p)).classify()
 
     def act_point(self, p: ParityPoint) -> ParityPoint:
         """Action on tagged points: move the integer, keep the copy bit."""

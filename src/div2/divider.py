@@ -191,7 +191,9 @@ class FinInstance:
     X side, Y side, sizes, then map entries in input order, each read once.
     """
 
-    def __init__(self, xs: Iterable[Label], ys: Iterable[Label], mapping):
+    def __init__(
+        self, xs: tuple[Label, ...] | list[Label] | range, ys: tuple[Label, ...] | list[Label] | range, mapping
+    ):
         self.xs = tuple(xs)
         self.ys = tuple(ys)
         pairs = list(mapping.items()) if isinstance(mapping, dict) else list(mapping)

@@ -41,6 +41,10 @@ from .dihedral import R, DihedralElt
 from .sequences import MINUS_INF, ZInf, _check_fields, _check_int, _Value, fin
 
 
+def _check_radius(w) -> int:
+    return _check_int(w, "radius", "a non-negative integer", lambda w: w >= 0)
+
+
 class WindowPattern(_Value):
     """A decreasing bit vector on ``[-w, w]``: ones strictly below ``cut``.
 
@@ -52,8 +56,7 @@ class WindowPattern(_Value):
     cut: int
 
     def __post_init__(self):
-        if not isinstance(self.w, int) or isinstance(self.w, bool) or self.w < 0:
-            raise ValueError(f"radius must be a non-negative integer, got {self.w!r}")
+        _check_radius(self.w)
         _check_int(self.cut, "cut")
         if not -self.w <= self.cut <= self.w + 1:
             raise ValueError(f"cut {self.cut} out of range [{-self.w}, {self.w + 1}]")
@@ -118,10 +121,8 @@ class LocalRule(_Value):
     offsets: tuple
 
     def __post_init__(self):
-        if not isinstance(self.w, int) or isinstance(self.w, bool) or not 0 <= self.w:
-            raise ValueError(f"radius must be a non-negative integer, got {self.w!r}")
-        if not isinstance(self.d, int) or isinstance(self.d, bool) or self.d < 1:
-            raise ValueError(f"displacement bound must be a positive integer, got {self.d!r}")
+        _check_radius(self.w)
+        _check_int(self.d, "displacement bound", "a positive integer", lambda d: d >= 1)
         offsets = tuple(self.offsets)
         if len(offsets) != 2 * self.w + 2:
             raise ValueError(
@@ -159,8 +160,7 @@ class LocalRule(_Value):
         w, table, d = obj["w"], obj["table"], obj.get("d")
         if not isinstance(table, dict):
             raise ValueError("table must be an object mapping pattern names to offsets")
-        if not isinstance(w, int) or isinstance(w, bool) or w < 0:
-            raise ValueError(f"radius must be a non-negative integer, got {w!r}")
+        _check_radius(w)
         entries: dict = {}
         for name, off in table.items():
             pat = WindowPattern.parse(w, name)
@@ -260,10 +260,8 @@ class LinearTail(_Value):
     N: int
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k % 2 == 0:
-            raise ValueError(f"tail displacement must be an odd integer, got {self.k!r}")
-        if not isinstance(self.N, int) or isinstance(self.N, bool) or self.N % 2 != 0:
-            raise ValueError(f"tail bound must be an even integer, got {self.N!r}")
+        _check_int(self.k, "tail displacement", "an odd integer", lambda k: k % 2)
+        _check_int(self.N, "tail bound", "an even integer", lambda N: N % 2 == 0)
         if self.N <= abs(self.k):
             raise ValueError(f"tail bound {self.N} must exceed |k| = {abs(self.k)}")
 
@@ -274,6 +272,11 @@ class TailViolation(_Value):
     n: int
     expected: int
     actual: int
+
+
+def _tail_windows(w: int, N: int) -> tuple:
+    """The ends of the even windows ``(N, N + 2w + 4]`` and ``[-N - 2w - 4, -N)`` that ``eventually_linear`` checks."""
+    return (N, N + 2 * w + 4), (-N - 2 * w - 4, -N)
 
 
 def eventually_linear(rule: LocalRule):
@@ -292,11 +295,12 @@ def eventually_linear(rule: LocalRule):
     bound = max(rule.w, abs(k))
     N = bound + 1 if (bound + 1) % 2 == 0 else bound + 2
     zero = fin(0)
-    for n in range(N + 2, N + 2 * rule.w + 5, 2):
+    right, left = _tail_windows(rule.w, N)
+    for n in range(right[0] + 2, right[1] + 1, 2):
         actual = rule.apply(zero, n)
         if actual != n + k:
             return TailViolation(n, n + k, actual)
-    for n in range(-N - 2 * rule.w - 4, -N, 2):
+    for n in range(*left, 2):
         actual = rule.apply(zero, n)
         if actual != n - k:
             return TailViolation(n, n - k, actual)
@@ -393,7 +397,7 @@ def _scan_plan(w: int, d: int) -> tuple:
 
 
 def _scan(table, runs, gaps: int, origin: int):
-    """First failure at threshold 0: ``(n1, n2, v)`` for a collision, ``(v,)`` for a gap, or None.
+    """The first Collision or Gap of the family with offsets ``table`` at threshold 0, or None.
 
     A run cannot collide with itself, so its first colliding point holds the
     lowest bit its mask shares with the runs before it.
@@ -405,17 +409,10 @@ def _scan(table, runs, gaps: int, origin: int):
         if hit:
             v = (hit & -hit).bit_length() - 1 - origin
             n1 = next(v - table[e] for ms, e, _, _ in runs[:k] if v - table[e] in ms)
-            return (n1, v - table[i], v)
+            return Collision(fin(0), n1, v - table[i], v)
         images |= mask
     missed = gaps & ~images
-    return ((missed & -missed).bit_length() - 1 - origin,) if missed else None
-
-
-def _witness(failure):
-    """The public Collision or Gap for a failure tuple from ``_scan``."""
-    if failure is None:
-        return None
-    return Collision(fin(0), *failure) if len(failure) == 3 else Gap(fin(0), *failure)
+    return Gap(fin(0), (missed & -missed).bit_length() - 1 - origin) if missed else None
 
 
 def bijectivity_witness(rule: LocalRule):
@@ -435,7 +432,7 @@ def bijectivity_witness(rule: LocalRule):
     bad = r_equivariance_witness(rule)
     if bad is not None:
         raise NotReflectionEquivariant(bad)
-    return _witness(_scan(rule.offsets, *_scan_runs(rule.w, rule.d)))
+    return _scan(rule.offsets, *_scan_runs(rule.w, rule.d))
 
 
 def equivariant_rules(w: int, d: int):
@@ -455,7 +452,7 @@ def iterate_verdicts(w: int, d: int):
     """Yield ``(rule, witness)`` over the equivariant rules; witness None means survivor."""
     plan = _scan_plan(w, d)[:3]
     for rule in equivariant_rules(w, d):
-        yield rule, _witness(_scan(rule.offsets, *plan))
+        yield rule, _scan(rule.offsets, *plan)
 
 
 class SearchReport(_Value):
@@ -470,15 +467,7 @@ class SearchReport(_Value):
     survivors: tuple
 
     def to_json(self) -> dict:
-        return {
-            "w": self.w,
-            "d": self.d,
-            "candidates": self.candidates,
-            "equivariant": self.equivariant,
-            "failed_collision": self.failed_collision,
-            "failed_gap": self.failed_gap,
-            "survivors": [rule.to_json() for rule in self.survivors],
-        }
+        return dict(vars(self), survivors=[rule.to_json() for rule in self.survivors])
 
 
 MAX_SEARCH_W = 4
@@ -586,12 +575,8 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     starting a worker pool.
     """
     for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
-        if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
-            raise ValueError(
-                f"{name} must be an integer in [{lo}, {hi}] for the exhaustive search, got {value!r}"
-            )
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ValueError(f"jobs must be a positive integer, got {jobs!r}")
+        _check_int(value, name, f"an integer in [{lo}, {hi}] for the exhaustive search", lambda v: lo <= v <= hi)
+    _check_int(jobs, "jobs", "a positive integer", lambda jobs: jobs >= 1)
     (collisions, gaps), survivors = _search_counts(w, d)
     candidates = len(_odd_offsets(d)) ** (2 * w + 2)
     survivors.sort(key=lambda r: r.offsets)

@@ -85,9 +85,10 @@ def _check_bit(value, what: str = "bit") -> int:
     return 1 if value else 0
 
 
-def _check_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+def _check_int(value, what: str, kind: str = "an integer", ok=None) -> int:
+    """``value`` if an int, not a bool, for which ``ok`` holds when given; else ValueError ``{what} must be {kind}``."""
+    if isinstance(value, bool) or not isinstance(value, int) or ok is not None and not ok(value):
+        raise ValueError(f"{what} must be {kind}, got {value!r}")
     return value
 
 
@@ -279,12 +280,7 @@ class BiSeq(_Value):
         return cls(bit, 0, (), bit)
 
     def to_json(self) -> dict:
-        return {
-            "left": self.left,
-            "start": self.start,
-            "core": list(self.core),
-            "right": self.right,
-        }
+        return dict(vars(self), core=list(self.core))
 
     @classmethod
     def from_json(cls, obj) -> "BiSeq":

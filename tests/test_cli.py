@@ -12,6 +12,7 @@ import pytest
 import div2
 from div2.cli import _load_json, main
 from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance, sigma_orbits
+from div2.localrules import LocalRule, TailViolation, eventually_linear
 
 TWO = {
     "X": ["a", "b"],
@@ -248,6 +249,8 @@ def test_deep_or_undecodable_json_exits_two(tmp_path, capsys):
         (["act", "r", "--chi", nested], "error: --chi: JSON nested too deeply"),
         (["theta", "--chi", nested, "--n", "0", "--i", "0"], "error: --chi: JSON nested too deeply"),
         (["act", "r", "--chi", "{bad"], "error: --chi: not valid JSON"),
+        (["act", "r", "--chi", '{"left": 0, "start": 0, "core": 5, "right": 0}'],
+         "error: core must be an array of bits"),
     ]
     for argv, message in cases:
         assert main(argv) == 2
@@ -415,6 +418,23 @@ def test_verify_lemma_json(tmp_path, capsys):
     assert blob["N"] == 2
 
 
+@pytest.mark.parametrize("side", [1, -1])
+def test_verify_lemma_reports_a_tail_that_fails(tmp_path, capsys, monkeypatch, side):
+    # an equivariant rule always has its linear tail, so one moved value stands in for a rule without it;
+    # for GAP_RULE (w = 0, k = 1, N = 2) the first point checked is N + 2 on the right and -N - 2w - 4 on the left
+    n = 4 if side > 0 else -6
+    expected, actual = n + side, n + side + 2
+    apply = LocalRule.apply
+    monkeypatch.setattr(LocalRule, "apply", lambda self, chi, m: apply(self, chi, m) + 2 * (m == n))
+    assert eventually_linear(LocalRule.from_json(GAP_RULE)) == TailViolation(n, expected, actual)
+    rule = write(tmp_path, "rule.json", GAP_RULE)
+    assert main(["verify", "lemma", "--rule", rule]) == 1
+    assert capsys.readouterr().out == f"tail FAILS at n={n}: expected {expected}, got {actual}\n"
+    assert main(["verify", "lemma", "--rule", rule, "--json"]) == 1
+    blob = json.loads(capsys.readouterr().out)
+    assert blob == {"verified": False, "n": n, "expected": expected, "actual": actual}
+
+
 def test_verify_lemma_rejects_non_equivariant(tmp_path, capsys):
     rule = write(tmp_path, "rule.json", {"w": 0, "table": {"allzero": 1, "allone": 1}})
     assert main(["verify", "lemma", "--rule", rule]) == 2
@@ -518,6 +538,9 @@ def test_verify_matching_rejects_malformed_file(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: pairs[0]: labels must be strings or integers")
+    short = write(tmp_path, "short.json", {"pairs": [["a"]]})
+    assert main(["verify", "matching", "--inst", inst, "--match", short]) == 2
+    assert capsys.readouterr().err == "error: pairs[0]: expected [x, y], got ['a']\n"
 
 
 # --- --json ---

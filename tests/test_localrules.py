@@ -660,7 +660,7 @@ def test_search_agrees_with_the_per_rule_path_on_random_gap_windows(monkeypatch)
     real = localrules._scan_plan
     rng = random.Random(10)
     survived = 0
-    for w, d in ((2, 7), (3, 7), (2, 9)):
+    for w, d in ((2, 7), (3, 7), (2, 9), (0, 9)):
         runs, gaps, origin, order, rows = real(w, d)
         bits = [b for b in range(gaps.bit_length()) if gaps >> b & 1]
         for _ in range(10):

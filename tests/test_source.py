@@ -2,10 +2,13 @@
 
 import ast
 import contextlib
+import importlib
+import inspect
 import io
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 from unittest import mock
 
@@ -113,3 +116,44 @@ def test_only_main_switches_the_gc():
                 owners = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 switches.add(f"{path.stem}.{max(owners, key=lambda f: f.lineno).name if owners else '<module>'}")
     assert switches == {"cli.main"}
+
+
+def test_plain_int_checks_go_through_check_int():
+    # one statement of "a plain int, not a bool": _check_int, and _check_label for its own wording
+    owners = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and isinstance(node.args[1], ast.Name)
+                and node.args[1].id == "bool"
+            ):
+                found = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                owners.add(f"{path.stem}.{max(found, key=lambda f: f.lineno).name if found else '<module>'}")
+    assert owners == {"sequences._check_int", "divider._check_label"}
+
+
+def test_every_annotation_resolves():
+    # annotations are documentation that tools read, so each must name something that exists
+    checked = []
+    for path in SOURCES:
+        if path.stem == "__main__":  # importing it runs the command line
+            continue
+        module = importlib.import_module("div2" if path.stem == "__init__" else f"div2.{path.stem}")
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for member in members:
+                if isinstance(member, property):
+                    member = member.fget
+                member = getattr(member, "__func__", member)
+                if inspect.isfunction(member):
+                    typing.get_type_hints(member)
+                    checked.append(member.__qualname__)
+    assert "FinInstance.__init__" in checked and "ZInf.threshold" in checked

@@ -22,6 +22,7 @@ from div2.localrules import (
     SearchReport,
     TailViolation,
     WindowPattern,
+    exhaustive_search,
 )
 from div2.sequences import MINUS_INF, BiSeq, ZInf, fin
 from div2.theta import EquivarianceWitness, SelfInverseWitness, ThetaResult
@@ -162,6 +163,14 @@ def test_defaults():
     (lambda: ZInf(1, 3), "infinite points carry no threshold"),
     (lambda: BiSeq(2, 0), "left must be 0 or 1, got 2"),
     (lambda: BiSeq(0, 0, core=(0, 5)), "core entry must be 0 or 1, got 5"),
+    (lambda: LocalRule(-1, 3, ()), "radius must be a non-negative integer, got -1"),
+    (lambda: LocalRule(True, 3, (1, -1, 1, -1)), "radius must be a non-negative integer, got True"),
+    (lambda: LocalRule(0, 0, (1, -1)), "displacement bound must be a positive integer, got 0"),
+    (lambda: LocalRule.from_json({"w": "1", "table": {}}), "radius must be a non-negative integer, got '1'"),
+    (lambda: LinearTail(1, 3), "tail bound must be an even integer, got 3"),
+    (lambda: LinearTail(True, 4), "tail displacement must be an odd integer, got True"),
+    (lambda: exhaustive_search(2.0, 7), "radius must be an integer in [0, 4] for the exhaustive search, got 2.0"),
+    (lambda: exhaustive_search(2, 7, jobs=True), "jobs must be a positive integer, got True"),
 ])
 def test_field_checks_still_run(make, message):
     with pytest.raises(ValueError) as info:
