@@ -688,6 +688,9 @@ def test_search_counts_past_the_limits_are_pinned():
         (10, 11): [736752428979, 6255941709],
         (12, 9): [9983048495044, 16951504956],
         (12, 11): [106729499617335, 263705761737],
+        (2, 999): [832584499, 167415501],
+        (3, 199): [1392217410, 207782590],
+        (4, 49): [275087159, 37412841],
     }
     for (w, d), counts in pinned.items():
         assert sum(counts) == (d + 1) ** (w + 1)
