@@ -95,6 +95,13 @@ def test_from_word_rejects_garbage():
         DihedralElt.from_word("trx")
 
 
+def test_product_with_a_non_element_is_a_type_error():
+    with pytest.raises(TypeError):
+        T * 3
+    with pytest.raises(TypeError):
+        3 * R
+
+
 def test_str_is_normal_form():
     assert str(DihedralElt(1, -3)) == "r^1 t^-3"
     assert str(IDENTITY) == "r^0 t^0"

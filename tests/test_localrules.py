@@ -660,7 +660,7 @@ def test_search_agrees_with_the_per_rule_path_on_random_gap_windows(monkeypatch)
     real = localrules._scan_plan
     rng = random.Random(10)
     survived = 0
-    for w, d in ((2, 7), (3, 7), (2, 9), (0, 9)):
+    for w, d in ((2, 7), (3, 7), (2, 9), (0, 9), (1, 9)):
         runs, gaps, origin, order, rows = real(w, d)
         bits = [b for b in range(gaps.bit_length()) if gaps >> b & 1]
         for _ in range(10):
@@ -691,6 +691,7 @@ def test_search_counts_past_the_limits_are_pinned():
         (2, 999): [832584499, 167415501],
         (3, 199): [1392217410, 207782590],
         (4, 49): [275087159, 37412841],
+        (4, 99): [8888834439, 1111165561],
     }
     for (w, d), counts in pinned.items():
         assert sum(counts) == (d + 1) ** (w + 1)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from div2.dihedral import R, T, DihedralElt, ParityPoint
 from div2.sequences import MINUS_INF, PLUS_INF, BiSeq, embed, fin
 from div2.theta import (
+    ThetaResult,
     equivariance_witness,
     self_inverse_witness,
     theta,
@@ -78,6 +79,26 @@ def test_generator_equivariance(chi, p):
 @given(elements, biseqs, even_points)
 def test_equivariance_for_arbitrary_elements(g, chi, p):
     assert equivariance_witness(g, chi, p) is None
+
+
+def shift_by_one(chi, p):
+    """A stand-in for theta that is neither self-inverse nor reflection equivariant."""
+    return ThetaResult(ParityPoint(p.n + 1, 1 - p.i), (p.n,))
+
+
+def test_self_inverse_witness_reports_a_failure(monkeypatch):
+    monkeypatch.setattr("div2.theta.theta", shift_by_one)
+    chi, p = embed(fin(0)), ParityPoint(0, 0)
+    witness = self_inverse_witness(chi, p)
+    assert (witness.chi, witness.p, witness.image, witness.back) == (chi, p, ParityPoint(1, 1), ParityPoint(2, 0))
+
+
+def test_equivariance_witness_reports_a_failure(monkeypatch):
+    monkeypatch.setattr("div2.theta.theta", shift_by_one)
+    chi, p = embed(fin(0)), ParityPoint(2, 0)
+    witness = equivariance_witness(R, chi, p)
+    assert (witness.g, witness.chi, witness.p) == (R, chi, p)
+    assert (witness.lhs, witness.rhs) == (ParityPoint(-1, 1), ParityPoint(-3, 1))
 
 
 def test_depends_on_is_the_three_point_window():
