@@ -692,6 +692,10 @@ def test_search_counts_past_the_limits_are_pinned():
         (3, 199): [1392217410, 207782590],
         (4, 49): [275087159, 37412841],
         (4, 99): [8888834439, 1111165561],
+        (0, 999): [500, 500],
+        (1, 99): [7450, 2550],
+        (1, 299): [67350, 22650],
+        (1, 999): [749500, 250500],
     }
     for (w, d), counts in pinned.items():
         assert sum(counts) == (d + 1) ** (w + 1)
