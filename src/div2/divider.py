@@ -15,8 +15,8 @@ of the label at position ``j`` is ``2*n + 2*j + b``.  One int list holds
 the swap in both directions, so the flip is ``c ^ 1``, the forward step is
 ``swap[c] ^ 1`` and the copy bit is ``c & 1``.  Ids follow input positions
 because the label-to-position dicts built during validation give them
-directly; only the paths that need canonical order (``divide``,
-``sigma_orbits``, ``to_json``) sort, and they sort the X labels alone.
+directly; only the paths that need canonical order (``divide`` and
+``to_json``) sort, and they sort the X labels alone.
 ``CopyElem`` is the type at the public boundary.  A trace walks only as far
 as its range reaches or once round the cycle, backward as forward from the
 flipped copy, so it costs O(min(cycle, max(|lo|, |hi|)) + (hi - lo)) however
@@ -300,22 +300,6 @@ def chi_trace(inst: FinInstance, z: CopyElem, lo: int, hi: int) -> list:
     back = _iterate_bits(inst, c ^ 1, max(-hi, 1), -lo) if lo < 0 else []
     ahead = _iterate_bits(inst, c, max(lo, 0), hi) if hi >= 0 else []
     return [b ^ 1 for b in reversed(back)] + ahead
-
-
-def sigma_orbits(inst: FinInstance) -> list:
-    """Forward-step orbits, each listed from its least copy, sorted by that copy."""
-    # every orbit alternates sides, so its least copy is an X copy
-    seen = bytearray(4 * len(inst.xs))
-    orbits = []
-    for i in _canonical_order(inst.xs):
-        for c in (2 * i, 2 * i + 1):
-            if seen[c]:
-                continue
-            orbit = inst._orbit(c)
-            for u in orbit:
-                seen[u] = 1
-            orbits.append([inst._elem(u) for u in orbit])
-    return orbits
 
 
 def divide(inst: FinInstance) -> dict:

@@ -493,27 +493,23 @@ def _search_counts(w: int, d: int) -> tuple:
 
     Past level 0 a row holds one point, since of the two table positions
     reading a free offset ``j >= 1`` exactly one belongs to an even ``n``.
-    So for ``w >= 1`` each leaf mask is one bit, and the parent decides a
-    leaf in one step, unmemoized: its collisions are the parent's bits in
-    ``window``; the other values all fail on a gap if the flag is set or two
-    gap bits of ``window`` are uncovered, all but the one landing on it if
-    one is, and none if none is.  ``w = 0`` keeps the loop.
+    For ``w <= 1`` the level loop decides the leaves, value by value.
 
-    For ``w >= 2`` level ``last - 1`` is past level 0 as well, so its masks
-    are one bit each too, and ``decide_row`` decides a whole row there in
-    closed form; ``walk`` still memoizes it.  With ``row_bits`` the OR of
-    the row's bits, the ``inside`` values whose bit the key holds add
-    ``decided[last - 1]`` collisions each, and the leaves of the ``out``
-    others collide ``out * |key & window| + |row_bits & ~key & window|``
-    times.  Every other completion fails on a gap unless it survives, and a
-    survivor needs the flag clear, its own bit on every uncovered bit of
+    For ``w >= 2`` levels ``last - 1`` and ``last`` are past level 0, so
+    their masks are one bit each, and ``decide_row`` decides a whole row of
+    level ``last - 1`` in closed form; ``walk`` still memoizes it.  With
+    ``row_bits`` the OR of the row's bits, the ``inside`` values whose bit
+    the key holds add ``decided[last - 1]`` collisions each, and the leaves
+    of the ``out`` others collide
+    ``out * |key & window| + |row_bits & ~key & window|`` times.  Every
+    other completion fails on a gap unless it survives, and a survivor
+    needs the flag clear, its own bit on every uncovered bit of
     ``drop[last - 1]``, and at most one gap bit of ``window`` left for its
     leaf.  So survivors are rebuilt only from the value on the one uncovered
     drop bit, the values on the two open gap bits, or the whole row when no
-    drop bit and at most one gap bit is open.  The one-step leaf is then
-    reached for ``w = 1`` only.  The closed form is a function of its own
-    because its locals, inlined into ``walk``, made every call of ``walk``
-    dearer: (20, 9), with few entries on that level, ran 10% slower.
+    drop bit and at most one gap bit is open.  The closed form is a function
+    of its own because its locals, inlined into ``walk``, made every call of
+    ``walk`` dearer: (20, 9), with few entries on that level, ran 10% slower.
     """
     _, gaps, _, order, rows = _scan_plan(w, d)
     last = len(order) - 1
@@ -570,26 +566,13 @@ def _search_counts(w: int, d: int) -> tuple:
         for x, mask in rows[level]:
             if mask is None or key & mask:
                 collisions += decided[level]
-            elif level + 1 < last:
+            elif level < last:
                 child = key | mask
                 sub = walk(level + 1, child & fut[level + 1], lost or drop[level] & ~child != 0)
                 collisions += sub[0]
                 missed += sub[1]
                 if sub[2]:
                     tails += [(x, *tail) for tail in sub[2]]
-            elif level < last:
-                # the leaf below, for w >= 1: one bit per value, so ``child`` marks the colliding ones
-                child = key | mask
-                hits = (child & window).bit_count()
-                uncovered = gaps & window & ~child
-                collisions += hits
-                if lost or drop[level] & ~child or uncovered & (uncovered - 1):
-                    missed += len(leaf) - hits
-                elif uncovered:
-                    missed += len(leaf) - hits - 1
-                    tails.append((x, leaf[uncovered]))
-                else:
-                    tails += [(x, y) for y, bit in rows[last] if not child & bit]
             elif lost or gaps & window & ~(key | mask):
                 missed += 1
             else:

@@ -9,9 +9,11 @@ import time
 
 import pytest
 
+from conftest import sigma_orbits
+
 import div2
 from div2.cli import _load_json, main
-from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance, sigma_orbits
+from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance
 from div2.localrules import LocalRule, TailViolation, eventually_linear
 
 TWO = {

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import sigma_orbits
+
 from div2 import divider
 from div2.divider import (
     CopyElem,
@@ -17,7 +19,6 @@ from div2.divider import (
     divide,
     matching_violation,
     phi,
-    sigma_orbits,
     theta_cyclic_instance,
     verify_matching,
 )

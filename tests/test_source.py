@@ -6,6 +6,7 @@ import importlib
 import inspect
 import io
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -157,3 +158,15 @@ def test_every_annotation_resolves():
                     typing.get_type_hints(member)
                     checked.append(member.__qualname__)
     assert "FinInstance.__init__" in checked and "ZInf.threshold" in checked
+
+
+def test_the_console_script_runs_cli_run():
+    # the tests call main or python -m div2; this checks the ``div2`` command that installing makes
+    text = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\n[^[]*?^div2 = "([^"]+)"$', text, re.M).group(1)
+    if sys.version_info >= (3, 11):  # Python 3.10 has no tomllib, so the line match above is the check there
+        import tomllib
+
+        assert tomllib.loads(text)["project"]["scripts"]["div2"] == target
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
