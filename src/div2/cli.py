@@ -13,8 +13,10 @@ JSON ``--chi`` or prints ``--json``.  ``act`` and ``theta`` with a threshold
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import os
+import shutil
 import sys
 
 from .dihedral import DihedralElt, ParityPoint
@@ -251,12 +253,22 @@ def _cmd_verify_matching(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``div2`` parser and its subcommands' parsers.
+
+    The help width is read from the terminal once, when the parser is built:
+    argparse would ask again for every help formatter it makes, 43 times in
+    a build, and it computes the same width.
+    """
+    # what HelpFormatter computes itself when it is given no width
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    subparser = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
     parser = argparse.ArgumentParser(
         prog="div2",
         description="Divide bijections by two, evaluate the even/odd pairing family, "
         "and verify the obstructions to doing it naively.",
+        formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
 
     p_act = sub.add_parser("act", help="apply a group word to an integer or a parameter")
     p_act.add_argument("word", help="word over t, T (= t inverse), r; empty for the identity")
@@ -286,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_div.set_defaults(func=_cmd_divide)
 
     p_verify = sub.add_parser("verify", help="check the obstruction results")
-    vsub = p_verify.add_subparsers(dest="check", required=True)
+    vsub = p_verify.add_subparsers(dest="check", required=True, parser_class=subparser)
 
     p_lemma = vsub.add_parser("lemma", help="eventual linearity of an equivariant rule")
     p_lemma.add_argument("--rule", required=True, metavar="FILE")

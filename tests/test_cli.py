@@ -3,6 +3,7 @@ import json
 import os
 import random
 import resource
+import shutil
 import subprocess
 import sys
 import time
@@ -12,7 +13,7 @@ import pytest
 from conftest import sigma_orbits
 
 import div2
-from div2.cli import _load_json, main
+from div2.cli import _load_json, build_parser, main
 from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance
 from div2.localrules import LocalRule, TailViolation, eventually_linear
 
@@ -601,6 +602,34 @@ def test_missing_subcommand_exits_two():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_a_parser_build_reads_the_terminal_size_once(monkeypatch):
+    # argparse would ask the terminal again for every help formatter it makes
+    calls = []
+    real = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or real(*args))
+    build_parser()
+    assert len(calls) == 1
+
+
+def search_help(monkeypatch, capsys, columns):
+    monkeypatch.setenv("COLUMNS", str(columns))
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "search", "--help"])
+    assert err.value.code == 0
+    usage, options = capsys.readouterr().out.split("\n\n", 1)
+    return usage.splitlines(), options.splitlines()
+
+
+def test_help_wraps_to_the_terminal_width(monkeypatch, capsys):
+    # two columns short of the terminal, as argparse does; a usage line is one option, which cannot wrap
+    usage, options = search_help(monkeypatch, capsys, 40)
+    assert len(usage) > 1
+    assert max(len(line) for line in options) <= 38
+    usage, options = search_help(monkeypatch, capsys, 200)
+    assert len(usage) == 1
+    assert max(len(line) for line in options) > 38
 
 
 def test_module_entry_point_runs():

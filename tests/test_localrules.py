@@ -660,7 +660,7 @@ def test_search_agrees_with_the_per_rule_path_on_random_gap_windows(monkeypatch)
     real = localrules._scan_plan
     rng = random.Random(10)
     survived = 0
-    for w, d in ((2, 7), (3, 7), (2, 9), (0, 9), (1, 9)):
+    for w, d in ((2, 7), (3, 7), (2, 9), (0, 9), (1, 9), (4, 3)):
         runs, gaps, origin, order, rows = real(w, d)
         bits = [b for b in range(gaps.bit_length()) if gaps >> b & 1]
         for _ in range(10):
@@ -702,6 +702,25 @@ def test_search_counts_past_the_limits_are_pinned():
         assert localrules._search_counts(w, d) == (counts, [])
 
 
+def test_search_counts_past_every_pin_agree_with_a_seeded_sample():
+    # these spaces are too large for the per-rule path; a uniform sample of rules, each scanned alone, must
+    # find gaps in the share the walk counts, within 4 standard deviations
+    rng = random.Random(23)
+    for w, d in ((4, 499), (3, 999), (12, 11)):
+        (collisions, gaps), survivors = localrules._search_counts(w, d)
+        share = gaps / (collisions + gaps)
+        assert sum((collisions, gaps)) == (d + 1) ** (w + 1) and survivors == []
+        offsets, plan = odd_offsets(d), localrules._scan_runs(w, d)
+        sampled = 0
+        for _ in range(20_000):
+            free = tuple(rng.choice(offsets) for _ in range(w + 1))
+            witness = localrules._scan(free + tuple(-x for x in reversed(free)), *plan)
+            assert witness is not None
+            sampled += isinstance(witness, Gap)
+        z = (sampled / 20_000 - share) / (share * (1 - share) / 20_000) ** 0.5
+        assert abs(z) <= 4, (w, d, z)
+
+
 def test_search_does_not_depend_on_the_order_of_its_levels(monkeypatch):
     # collision and gap do not depend on the order the walk fixes the free offsets in, so permuting
     # levels 1 .. last of the plan must change no count and no survivor; level 0 stays first, since it
@@ -732,7 +751,7 @@ def test_search_memo_is_freed_when_the_search_returns():
     gc.collect()
     gc.disable()
     try:
-        for w, d in ((4, 9), (3, 7), (9, 9)):
+        for w, d in ((4, 9), (3, 7), (9, 9), (1, 99)):
             localrules._search_counts(w, d)
             assert gc.collect() == 0, (w, d)
     finally:
