@@ -8,6 +8,12 @@ the reader of stdout closes it early.
 ``json`` is imported on first use, by a command that reads a file, takes a
 JSON ``--chi`` or prints ``--json``.  ``act`` and ``theta`` with a threshold
 ``--chi``, ``verify parity`` and a text-mode ``verify search`` never load it.
+
+``build_parser`` makes the ``div2`` parser and one parser per command with
+its help line.  A command's own arguments, and for ``verify`` its checks'
+parsers, are added when argparse dispatches to that parser, so a run builds
+those of the command it runs and no other.  The help width is still read
+from the terminal once per build.
 """
 
 from __future__ import annotations
@@ -252,77 +258,117 @@ def _cmd_verify_matching(args):
     return 1, payload, [f"matching INVALID: {problem}"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``div2`` parser and its subcommands' parsers.
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which gets its arguments when argparse first dispatches to it.
 
-    The help width is read from the terminal once, when the parser is built:
-    argparse would ask again for every help formatter it makes, 43 times in
-    a build, and it computes the same width.
+    argparse's subparsers action calls the chosen parser's ``parse_known_args``,
+    and that runs ``fill(self)`` once, before it parses: the parsers of the
+    commands not run never get theirs.  ``fill`` returns the function the
+    command runs, or None for ``verify``, whose checks are parsers of their own.
+    """
+
+    def __init__(self, *, fill, **kwargs):
+        super().__init__(**kwargs)
+        self._fill = fill
+
+    def parse_known_args(self, args=None, namespace=None):
+        fill, self._fill = self._fill, None  # once: argparse rejects an option string added twice
+        if fill is not None and (func := fill(self)) is not None:
+            # added last, so that every usage line and --help lists it after the command's own options
+            self.add_argument("--json", action="store_true")
+            self.set_defaults(func=func)
+        return super().parse_known_args(args, namespace)
+
+
+def _act_arguments(p):
+    p.add_argument("word", help="word over t, T (= t inverse), r; empty for the identity")
+    p.add_argument("n", nargs="?", type=int, default=None, help="integer to act on")
+    p.add_argument("--chi", help="parameter to act on: nbar:K, +inf, -inf, or JSON")
+    return _cmd_act
+
+
+def _theta_arguments(p):
+    p.add_argument("--chi", required=True, help="parameter: nbar:K, +inf, -inf, or JSON")
+    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--i", required=True, type=int)
+    return _cmd_theta
+
+
+def _trace_arguments(p):
+    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    p.add_argument("--label", required=True)
+    p.add_argument("--bit", required=True, type=int, choices=(0, 1))
+    p.add_argument("--lo", required=True, type=int)
+    p.add_argument("--hi", required=True, type=int)
+    p.add_argument("--side", choices=("X", "Y"), default="X")
+    return _cmd_trace
+
+
+def _divide_arguments(p):
+    p.add_argument("--in", dest="infile", required=True, metavar="FILE")
+    p.add_argument("--out", metavar="FILE", help="write the matching as JSON")
+    p.add_argument("--trace", metavar="LABEL,BIT,LO,HI", help="also print one orbit trace")
+    return _cmd_divide
+
+
+def _verify_checks(p):
+    # the checks' help is formatted at the width that build_parser read
+    command = functools.partial(_CommandParser, formatter_class=p.formatter_class)
+    checks = p.add_subparsers(dest="check", required=True, parser_class=command)
+    checks.add_parser("lemma", help="eventual linearity of an equivariant rule", fill=_lemma_arguments)
+    checks.add_parser("parity", help="the block-size parity contradiction", fill=_parity_arguments)
+    checks.add_parser("search", help="exhaust a local-rule space", fill=_search_arguments)
+    checks.add_parser("matching", help="check a matching against its instance", fill=_matching_arguments)
+
+
+def _lemma_arguments(p):
+    p.add_argument("--rule", required=True, metavar="FILE")
+    return _cmd_verify_lemma
+
+
+def _parity_arguments(p):
+    p.add_argument("--k", required=True, type=int, help="odd tail displacement")
+    p.add_argument("--N", required=True, type=int, help="even tail bound, N > |k|")
+    return _cmd_verify_parity
+
+
+def _search_arguments(p):
+    p.add_argument("--w", required=True, type=int, help=f"window radius (at most {MAX_SEARCH_W})")
+    p.add_argument("--d", required=True, type=int, help=f"displacement bound (at most {MAX_SEARCH_D})")
+    p.add_argument("--jobs", type=int, default=1)
+    return _cmd_verify_search
+
+
+def _matching_arguments(p):
+    p.add_argument("--inst", required=True, metavar="FILE")
+    p.add_argument("--match", required=True, metavar="FILE")
+    return _cmd_verify_matching
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``div2`` parser, with one parser per command that gets its arguments when it parses.
+
+    A command's arguments are added when argparse dispatches to its parser
+    (``_CommandParser``), not here.  The help width is read from the terminal
+    once, when the parser is built, and every parser filled later formats at
+    that width: argparse would ask again for every help formatter it makes,
+    and it computes the same width.
     """
     # what HelpFormatter computes itself when it is given no width
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    subparser = functools.partial(argparse.ArgumentParser, formatter_class=formatter)
     parser = argparse.ArgumentParser(
         prog="div2",
         description="Divide bijections by two, evaluate the even/odd pairing family, "
         "and verify the obstructions to doing it naively.",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=subparser)
-
-    p_act = sub.add_parser("act", help="apply a group word to an integer or a parameter")
-    p_act.add_argument("word", help="word over t, T (= t inverse), r; empty for the identity")
-    p_act.add_argument("n", nargs="?", type=int, default=None, help="integer to act on")
-    p_act.add_argument("--chi", help="parameter to act on: nbar:K, +inf, -inf, or JSON")
-    p_act.set_defaults(func=_cmd_act)
-
-    p_theta = sub.add_parser("theta", help="evaluate the pairing map at one point")
-    p_theta.add_argument("--chi", required=True, help="parameter: nbar:K, +inf, -inf, or JSON")
-    p_theta.add_argument("--n", required=True, type=int)
-    p_theta.add_argument("--i", required=True, type=int)
-    p_theta.set_defaults(func=_cmd_theta)
-
-    p_trace = sub.add_parser("trace", help="copy bits along an orbit of a finite instance")
-    p_trace.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_trace.add_argument("--label", required=True)
-    p_trace.add_argument("--bit", required=True, type=int, choices=(0, 1))
-    p_trace.add_argument("--lo", required=True, type=int)
-    p_trace.add_argument("--hi", required=True, type=int)
-    p_trace.add_argument("--side", choices=("X", "Y"), default="X")
-    p_trace.set_defaults(func=_cmd_trace)
-
-    p_div = sub.add_parser("divide", help="extract the canonical matching of an instance")
-    p_div.add_argument("--in", dest="infile", required=True, metavar="FILE")
-    p_div.add_argument("--out", metavar="FILE", help="write the matching as JSON")
-    p_div.add_argument("--trace", metavar="LABEL,BIT,LO,HI", help="also print one orbit trace")
-    p_div.set_defaults(func=_cmd_divide)
-
-    p_verify = sub.add_parser("verify", help="check the obstruction results")
-    vsub = p_verify.add_subparsers(dest="check", required=True, parser_class=subparser)
-
-    p_lemma = vsub.add_parser("lemma", help="eventual linearity of an equivariant rule")
-    p_lemma.add_argument("--rule", required=True, metavar="FILE")
-    p_lemma.set_defaults(func=_cmd_verify_lemma)
-
-    p_parity = vsub.add_parser("parity", help="the block-size parity contradiction")
-    p_parity.add_argument("--k", required=True, type=int, help="odd tail displacement")
-    p_parity.add_argument("--N", required=True, type=int, help="even tail bound, N > |k|")
-    p_parity.set_defaults(func=_cmd_verify_parity)
-
-    p_search = vsub.add_parser("search", help="exhaust a local-rule space")
-    p_search.add_argument("--w", required=True, type=int, help=f"window radius (at most {MAX_SEARCH_W})")
-    p_search.add_argument("--d", required=True, type=int, help=f"displacement bound (at most {MAX_SEARCH_D})")
-    p_search.add_argument("--jobs", type=int, default=1)
-    p_search.set_defaults(func=_cmd_verify_search)
-
-    p_match = vsub.add_parser("matching", help="check a matching against its instance")
-    p_match.add_argument("--inst", required=True, metavar="FILE")
-    p_match.add_argument("--match", required=True, metavar="FILE")
-    p_match.set_defaults(func=_cmd_verify_matching)
-
-    # added last, so that every usage line and --help lists it after the command's own options
-    for p in (p_act, p_theta, p_trace, p_div, p_lemma, p_parity, p_search, p_match):
-        p.add_argument("--json", action="store_true")
+    command = functools.partial(_CommandParser, formatter_class=formatter)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=command)
+    sub.add_parser("act", help="apply a group word to an integer or a parameter", fill=_act_arguments)
+    sub.add_parser("theta", help="evaluate the pairing map at one point", fill=_theta_arguments)
+    sub.add_parser("trace", help="copy bits along an orbit of a finite instance", fill=_trace_arguments)
+    sub.add_parser("divide", help="extract the canonical matching of an instance", fill=_divide_arguments)
+    sub.add_parser("verify", help="check the obstruction results", fill=_verify_checks)
     return parser
 
 

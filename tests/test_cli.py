@@ -1,3 +1,4 @@
+import argparse
 import gc
 import json
 import os
@@ -604,13 +605,55 @@ def test_missing_subcommand_exits_two():
     assert err.value.code == 2
 
 
-def test_a_parser_build_reads_the_terminal_size_once(monkeypatch):
-    # argparse would ask the terminal again for every help formatter it makes
+def test_a_parser_build_reads_the_terminal_size_once(monkeypatch, capsys):
+    # argparse would ask the terminal again for every help formatter it makes, the lazily filled ones too
     calls = []
     real = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or real(*args))
-    build_parser()
+    parser = build_parser()
+    with pytest.raises(SystemExit) as err:
+        parser.parse_args(["verify", "search", "--help"])
+    assert err.value.code == 0
+    assert "--jobs JOBS" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_a_parser_build_adds_no_command_arguments():
+    # a command's arguments are added when argparse dispatches to its parser
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == ["act", "theta", "trace", "divide", "verify"]
+    for name, command in commands.choices.items():
+        assert [a.dest for a in command._actions] == ["help"], name
+
+
+def test_act_builds_none_of_the_verify_check_parsers(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    commands = ["div2", "div2 act", "div2 theta", "div2 trace", "div2 divide", "div2 verify"]
+    assert main(["act", "r", "5"]) == 0
+    assert built == commands
+    built.clear()
+    assert main(["verify", "parity", "--k", "1", "--N", "2"]) == 0
+    assert built == commands + [f"div2 verify {check}" for check in ("lemma", "parity", "search", "matching")]
+    assert capsys.readouterr().out.startswith("-5\n")
+
+
+def test_a_parser_parses_the_same_command_twice():
+    # the arguments are added at the first parse only: argparse rejects an option string added twice
+    parser = build_parser()
+    first = parser.parse_args(["verify", "search", "--w", "3", "--d", "7"])
+    second = parser.parse_args(["verify", "search", "--w", "4", "--d", "9", "--json"])
+    assert (first.w, first.d, first.jobs, first.json) == (3, 7, 1, False)
+    assert (second.w, second.d, second.jobs, second.json) == (4, 9, 1, True)
+    assert first.func is second.func
+    words = [parser.parse_args(["act", word, "--json"]).word for word in ("r", "tT")]
+    assert words == ["r", "tT"]
 
 
 def search_help(monkeypatch, capsys, columns):
