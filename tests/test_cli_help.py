@@ -7,8 +7,8 @@ stderr, so a dropped, renamed or reordered option fails here, where the CLI
 transcript keeps only the first word of a usage error.
 
 argparse's wording is not fixed across Python minors (3.9 printed ``optional
-arguments:`` where 3.10 on print ``options:``), so the pins are kept per
-minor, and the test skips on a minor that has none.  After an intended change,
+arguments:`` where 3.10 and later print ``options:``), so the pins are kept
+per minor, and the test skips on a minor that has none.  After an intended change,
 regenerate them with each interpreter to pin, and read the diff:
 
     PYTHONPATH=src python tests/test_cli_help.py python3.10 python3.11
