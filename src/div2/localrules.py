@@ -27,7 +27,8 @@ never on the offsets, so the search fixes the free offsets (cuts ``-w .. 0``)
 in one order, ``f0, f1, f3, f4, f2`` for ``w = 4``, each level adding every
 point that reads its offset (both tails at level 0).  Collision or gap does
 not depend on scan order, so a collision among the points of a prefix fails
-every rule extending it, and the search counts all of those at once.  It
+every rule extending it.  The search never visits those completions: it
+counts gaps and lists survivors, and counts collisions as the rest.  It
 walks once per class of prefixes that agree on the image bits deeper levels
 can hit and on whether a gap none of them reaches is left open.  Past level
 0 each level adds one point, so the last four levels (every level past 0
@@ -524,33 +525,35 @@ def _search_counts(w: int, d: int) -> tuple:
     A depth-first walk fixes the free offsets in the order the threshold-0
     scan first reads them, and each level ORs the values of every point that
     reads its offset (both tails at level 0) into its parent's image mask.
-    A collision there fails every completion, so all of them are counted at
-    once.  A leaf holds every point of the window; only gaps are left.
+    A collision there fails every completion, so the walk never visits
+    them.  It counts gaps and lists survivors; every completion is a
+    collision, a gap or a survivor, so the collisions are the rest of the
+    ``k**(w + 1)`` completions, for the row length ``k``.
 
     Below a level, the walk reads its parent's mask only on ``fut[level]``,
     the union of the masks of ``rows[level:]``, and through one flag: some
     gap bit outside it is uncovered, so every completion without a collision
-    fails on a gap.  Each level caches its outcome (counts, and survivors'
+    fails on a gap.  Each level caches its outcome (gaps, and survivors'
     offsets from that level on) under that key and flag.  A child keys on
     ``(key | mask) & fut[level + 1]``, and sets the flag if a gap bit of
-    ``drop[level]`` is uncovered.
+    ``drop[level]`` is uncovered.  Level 0 keys on nothing, so a gap bit no
+    row reaches is in ``drop[0]`` and sets the flag of every child.
 
     Past level 0 a row holds one point, since of the two table positions
     reading a free offset ``j >= 1`` exactly one belongs to an even ``n``.
-    So there each value is one bit, and the bits of a row are distinct.  The
-    walk decides every entry of level ``top = max(1, last - 3)`` over the
-    ``m <= 4`` levels from it on in one closed form; for ``w = 0`` there is
-    no such level, and the level loop decides the leaves.  With ``A_i`` the
-    bits of row ``top + i`` outside the key, a completion without a
-    collision picks one bit of each ``A_i``, no bit twice.  Möbius inversion
-    on the set partitions of the ``m`` rows counts those picks: the sum over
-    partitions of their coefficient times, per block, the popcount of the
-    AND of its rows' ``A_i`` (1, 2, 5 and 15 terms for ``m`` = 1 to 4).
-    The other ``k**m`` completions, for the row length ``k``, collide.  A
-    pick survives if the flag is clear and it covers every gap bit of
-    ``fut[top]`` outside the key.  So survivors are listed only when at most
-    ``m`` such bits are open, and the listing stops at the first open bit no
-    later row reaches; every other pick fails on a gap.
+    So there each value is one bit, and the bits of a row are distinct.
+    Every walk ends in one closed form, which decides each entry of level
+    ``top = max(1, last - 3)`` over the ``m <= 4`` levels from it on (over
+    zero rows for ``w = 0``).  With ``A_i`` the bits of row ``top + i``
+    outside the key, a completion without a collision picks one bit of each
+    ``A_i``, no bit twice.  Möbius inversion on the set partitions of the
+    ``m`` rows counts those picks: the sum over partitions of their
+    coefficient times, per block, the popcount of the AND of its rows'
+    ``A_i`` (1, 1, 2, 5 and 15 terms for ``m`` = 0 to 4).  A pick survives
+    if the flag is clear and it covers every gap bit of ``fut[top]`` outside
+    the key.  So survivors are listed only when at most ``m`` such bits are
+    open, and the listing stops at the first open bit no later row reaches;
+    every other pick fails on a gap.
 
     Four levels suit both corners of the space.  Level 0 holds the tails,
     so ``top`` is at least 1, and for ``w <= 4`` the closed form decides
@@ -561,10 +564,8 @@ def _search_counts(w: int, d: int) -> tuple:
     _, gaps, _, order, rows = _scan_plan(w, d)
     last = len(order) - 1
     top = max(1, last - _CLOSED_LEVELS + 1)
-    decided = [len(rows[0]) ** (last - level) for level in range(top)]
-    # the OR of each row's masks; past level 0 a row's bits are distinct, so it is their sum
-    ors = [functools.reduce(int.__or__, [mask for _, mask in rows[0] if mask is not None], 0)]
-    ors += [sum([mask for _, mask in row]) for row in rows[1:]]
+    # the OR of each row's masks past level 0, whose bits are distinct, so it is their sum; level 0 keys on no bit
+    ors = [-1] + [sum([mask for _, mask in row]) for row in rows[1:]]
     fut = [*itertools.accumulate(reversed(ors), int.__or__, initial=0)][::-1]
     # the gap bits that each level of the loop keys on and its children do not
     drop = [gaps & fut[level] & ~fut[level + 1] for level in range(top)]
@@ -574,8 +575,8 @@ def _search_counts(w: int, d: int) -> tuple:
     for s in range(1, 1 << m):
         meets.append(meets[s & s - 1] & bits[(s & -s).bit_length() - 1])
     del meets[0]
-    terms, total, window = _PARTITIONS[m], len(rows[0]) ** m, fut[top]
-    memo = [{} for _ in rows]
+    terms, window = _PARTITIONS[m], fut[top]
+    memo = [{} for _ in range(top + 1)]
 
     def closed(key: int, lost: bool) -> tuple:
         free = window ^ key
@@ -587,7 +588,7 @@ def _search_counts(w: int, d: int) -> tuple:
             fits += mu
         opened = gaps & free
         tails = () if lost or opened.bit_count() > m else _covering_tails(rows, top, key, opened, fut)
-        return total - fits, fits - len(tails), tails
+        return fits - len(tails), tails
 
     def walk(level: int, key: int, lost: bool) -> tuple:
         slot = ~key if lost else key
@@ -597,31 +598,24 @@ def _search_counts(w: int, d: int) -> tuple:
         if level == top:
             memo[level][slot] = done = closed(key, lost)
             return done
-        collisions = missed = 0
+        missed = 0
         tails = []
         for x, mask in rows[level]:
-            if mask is None or key & mask:
-                collisions += decided[level]
-            elif level < last:
+            if mask is not None and not key & mask:
                 child = key | mask
                 sub = walk(level + 1, child & fut[level + 1], lost or drop[level] & ~child != 0)
-                collisions += sub[0]
-                missed += sub[1]
-                if sub[2]:
-                    tails += [(x, *tail) for tail in sub[2]]
-            elif lost or gaps & fut[last] & ~(key | mask):
-                missed += 1
-            else:
-                tails.append((x,))
-        memo[level][slot] = done = (collisions, missed, tails)
+                missed += sub[0]
+                if sub[1]:
+                    tails += [(x, *tail) for tail in sub[1]]
+        memo[level][slot] = done = (missed, tails)
         return done
 
-    collisions, missed, tails = walk(0, 0, gaps & ~fut[0] != 0)
+    missed, tails = walk(0, 0, False)
     # walk reaches itself through its closure cell; unbinding it frees the memo now, not at a collection
     del walk
     # a tail lists the free offsets in ``order``, a permutation of 0 .. w
     survivors = [_equivariant_rule(w, d, tuple(x for _, x in sorted(zip(order, tail)))) for tail in tails]
-    return [collisions, missed], survivors
+    return [len(rows[0]) ** (w + 1) - missed - len(survivors), missed], survivors
 
 
 def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
@@ -634,13 +628,15 @@ def exhaustive_search(w: int, d: int, jobs: int = 1) -> SearchReport:
     candidate is then put through the threshold-0 bijectivity scan, shared
     between rules by a depth-first walk whose levels each add every point
     that reads one free offset (the tails at level 0), so every point of
-    every rule's window is checked.  The walk decides each subtree once per
-    distinct set of image bits its masks can still hit, with one flag for a
-    gap no deeper point can cover; prefixes that agree on both have the same
-    completions fail in the same way, so the memo changes no count and no
-    survivor.  ``jobs`` must be a positive integer but does not change the
-    run: inside the size limits the whole search takes less time than
-    starting a worker pool.
+    every rule's window is checked.  The walk counts gaps and lists
+    survivors, and the completions it never visits, those below a collision,
+    are the collisions.  It decides each subtree once per distinct set of
+    image bits its masks can still hit, with one flag for a gap no deeper
+    point can cover; prefixes that agree on both have the same completions
+    fail in the same way, so the memo changes no count and no survivor.
+    ``jobs`` must be a positive integer but does not change the run: inside
+    the size limits the whole search takes less time than starting a worker
+    pool.
     """
     for name, value, lo, hi in (("radius", w, 0, MAX_SEARCH_W), ("bound", d, 1, MAX_SEARCH_D)):
         _check_int(value, name, f"an integer in [{lo}, {hi}] for the exhaustive search", lambda v: lo <= v <= hi)

@@ -751,7 +751,7 @@ def test_search_memo_is_freed_when_the_search_returns():
     gc.collect()
     gc.disable()
     try:
-        for w, d in ((4, 9), (3, 7), (9, 9), (1, 99)):
+        for w, d in ((4, 9), (3, 7), (9, 9), (1, 99), (0, 9), (0, 999)):
             localrules._search_counts(w, d)
             assert gc.collect() == 0, (w, d)
     finally:
