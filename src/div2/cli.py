@@ -9,6 +9,14 @@ the reader of stdout closes it early.
 JSON ``--chi`` or prints ``--json``.  ``act`` and ``theta`` with a threshold
 ``--chi``, ``verify parity`` and a text-mode ``verify search`` never load it.
 
+The library modules are imported the same way, by the functions that use
+them, since every command is a fresh process.  Importing this module and
+building the parser (``--help`` too) load none of them.  ``act`` loads
+``dihedral`` and ``sequences``, and ``theta`` those and ``theta``.
+``divide``, ``trace`` and ``verify matching`` load ``divider`` and
+``sequences``.  ``verify lemma``, ``parity`` and ``search`` load
+``localrules``, ``dihedral`` and ``sequences``.
+
 ``build_parser`` makes the ``div2`` parser and one parser per command with
 its help line.  A command's own arguments, and for ``verify`` its checks'
 parsers, are added when argparse dispatches to that parser, so a run builds
@@ -24,30 +32,6 @@ import gc
 import os
 import shutil
 import sys
-
-from .dihedral import DihedralElt, ParityPoint
-from .divider import (
-    CopyElem,
-    FinInstance,
-    _check_label,
-    _check_trace_range,
-    chi_trace,
-    divide,
-    matching_violation,
-)
-from .localrules import (
-    MAX_SEARCH_D,
-    MAX_SEARCH_W,
-    LinearTail,
-    LocalRule,
-    TailViolation,
-    _tail_windows,
-    eventually_linear,
-    exhaustive_search,
-    parity_counts,
-)
-from .sequences import BiSeq, ZInf, embed, parse_zinf
-from .theta import theta, window_radius
 
 
 def _parse_json(data, source: str):
@@ -74,8 +58,10 @@ def _load_json(path: str):
     return _parse_json(data, path)
 
 
-def _parse_chi(text: str) -> ZInf | BiSeq:
-    """A parameter from nbar:K / +inf / -inf notation, or a sequence from inline JSON."""
+def _parse_chi(text: str):
+    """A ZInf parameter from nbar:K / +inf / -inf notation, or a BiSeq sequence from inline JSON."""
+    from .sequences import BiSeq, parse_zinf
+
     text = text.strip()
     if text.startswith("{"):
         return BiSeq.from_json(_parse_json(text, "--chi"))
@@ -104,6 +90,8 @@ def _find_label(positions: dict, text: str, side: str):
 
 
 def _parse_matching(obj) -> dict:
+    from .divider import _check_label
+
     if not isinstance(obj, dict) or set(obj) != {"pairs"} or not isinstance(obj["pairs"], list):
         raise ValueError('matching must be an object {"pairs": [[x, y], ...]}')
     matching: dict = {}
@@ -121,6 +109,9 @@ def _parse_matching(obj) -> dict:
 
 
 def _cmd_act(args):
+    from .dihedral import DihedralElt
+    from .sequences import ZInf
+
     g = DihedralElt.from_word(args.word)
     payload = {"word": args.word, "reflect": g.reflect, "shift": g.shift}
     lines = []
@@ -140,6 +131,10 @@ def _cmd_act(args):
 
 
 def _cmd_theta(args):
+    from .dihedral import ParityPoint
+    from .sequences import ZInf, embed
+    from .theta import theta, window_radius
+
     chi = _parse_chi(args.chi)
     p = ParityPoint(args.n, args.i)
     result = theta(embed(chi) if isinstance(chi, ZInf) else chi, p)
@@ -154,14 +149,18 @@ def _cmd_theta(args):
     return 0, payload, [str(result.point), f"depends on chi at indices {lo}..{hi}; agreement radius {radius}"]
 
 
-def _trace(inst: FinInstance, side: str, text: str, bit: int, lo: int, hi: int) -> dict:
-    """The copy bits from ``lo`` to ``hi`` along the orbit of the label that prints as ``text``."""
+def _trace(inst, side: str, text: str, bit: int, lo: int, hi: int) -> dict:
+    """The copy bits from ``lo`` to ``hi`` along the orbit of the label printed as ``text`` in FinInstance ``inst``."""
+    from .divider import CopyElem, chi_trace
+
     label = _find_label(inst._xpos if side == "X" else inst._ypos, text, side)
     bits = chi_trace(inst, CopyElem(side, label, bit), lo, hi)
     return {"label": label, "bit": bit, "lo": lo, "hi": hi, "bits": bits}
 
 
 def _cmd_trace(args):
+    from .divider import FinInstance, _check_trace_range
+
     _check_trace_range(args.lo, args.hi)
     inst = FinInstance.from_json(_load_json(args.infile))
     trace = _trace(inst, args.side, args.label, args.bit, args.lo, args.hi)
@@ -169,6 +168,8 @@ def _cmd_trace(args):
 
 
 def _cmd_divide(args):
+    from .divider import FinInstance, divide
+
     inst = FinInstance.from_json(_load_json(args.infile))
     if args.trace:
         # the trace is taken before the matching is computed, so a bad spec stops the command first
@@ -197,6 +198,8 @@ def _cmd_divide(args):
 
 
 def _cmd_verify_lemma(args):
+    from .localrules import LocalRule, TailViolation, _tail_windows, eventually_linear
+
     rule = LocalRule.from_json(_load_json(args.rule))
     outcome = eventually_linear(rule)
     if isinstance(outcome, TailViolation):
@@ -224,6 +227,8 @@ def _cmd_verify_lemma(args):
 
 
 def _cmd_verify_parity(args):
+    from .localrules import LinearTail, parity_counts
+
     tail = LinearTail(args.k, args.N)
     evens, odds = parity_counts(tail)
     contradiction = evens % 2 == 1 and odds % 2 == 0
@@ -236,6 +241,8 @@ def _cmd_verify_parity(args):
 
 
 def _cmd_verify_search(args):
+    from .localrules import exhaustive_search
+
     report = exhaustive_search(args.w, args.d, jobs=args.jobs)
     lines = [
         f"search w={report.w} d={report.d}: candidates={report.candidates} "
@@ -249,6 +256,8 @@ def _cmd_verify_search(args):
 
 
 def _cmd_verify_matching(args):
+    from .divider import FinInstance, matching_violation
+
     inst = FinInstance.from_json(_load_json(args.inst))
     matching = _parse_matching(_load_json(args.match))
     problem = matching_violation(inst, matching)
@@ -333,6 +342,8 @@ def _parity_arguments(p):
 
 
 def _search_arguments(p):
+    from .localrules import MAX_SEARCH_D, MAX_SEARCH_W
+
     p.add_argument("--w", required=True, type=int, help=f"window radius (at most {MAX_SEARCH_W})")
     p.add_argument("--d", required=True, type=int, help=f"displacement bound (at most {MAX_SEARCH_D})")
     p.add_argument("--jobs", type=int, default=1)
@@ -373,16 +384,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _join_chi_values(argv):
-    # argparse reads "-inf" after --chi as a flag; fold the value in
+    """``argv`` with each ``--chi VALUE`` folded into ``--chi=VALUE``, and the first ``--name=--`` option or None.
+
+    argparse reads "-inf" after --chi as a flag, so the value is folded in.
+    argparse 3.10 to 3.12 hands over ``--name=--`` as an empty list and 3.13
+    as the text ``--``, so it is found here instead.  Every token after a
+    bare ``--`` is a positional and stays as it is.
+    """
     out = []
     it = iter(argv)
     for tok in it:
+        if tok == "--":
+            return [*out, tok, *it], None
         if tok == "--chi":
             val = next(it, None)
-            out.append(tok if val is None else f"--chi={val}")
-        else:
-            out.append(tok)
-    return out
+            tok = tok if val is None else f"--chi={val}"
+        name, _, value = tok.partition("=")
+        if name.startswith("--") and len(name) > 2 and value == "--":
+            return out, name
+        out.append(tok)
+    return out, None
 
 
 def main(argv=None) -> int:
@@ -392,12 +413,10 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         parser = build_parser()
-        argv = sys.argv[1:] if argv is None else list(argv)
-        args = parser.parse_args(_join_chi_values(argv))
-        # argparse hands over "--opt=--" as an empty list, without type conversion
-        for name, value in vars(args).items():
-            if value == []:
-                parser.error(f"argument {name}: '--' is not a value")
+        argv, dashed = _join_chi_values(sys.argv[1:] if argv is None else argv)
+        if dashed is not None:
+            parser.error(f"argument {dashed}: '--' is not a value")
+        args = parser.parse_args(argv)
         try:
             code, payload, lines = args.func(args)
             if args.json:

@@ -33,9 +33,7 @@ a fault counts it from the swap slots the entries before it filled.
 
 from __future__ import annotations
 
-from . import theta as pairing
-from .dihedral import ParityPoint
-from .sequences import BiSeq, _check_bit, _check_fields, _Value
+from .sequences import _check_bit, _check_fields, _Value
 
 Label = str | int
 
@@ -363,6 +361,11 @@ def theta_cyclic_instance(bits) -> FinInstance:
     labels and odds Y labels, and a copy's image is read mod M.  The map is
     still its own inverse on the cycle, so the result is always valid.
     """
+    # the only function that uses these: imported here, so that the divider's commands never load the group or the map
+    from .dihedral import ParityPoint
+    from .sequences import BiSeq
+    from .theta import theta
+
     bits = tuple(bits)
     if len(bits) < 2 or len(bits) % 2 != 0:
         raise ValueError(f"need an even number of entries >= 2, got {len(bits)}")
@@ -373,6 +376,6 @@ def theta_cyclic_instance(bits) -> FinInstance:
     mapping = []
     for n in range(0, size, 2):
         for i in (0, 1):
-            image = pairing.theta(chi, ParityPoint(n, i)).point
+            image = theta(chi, ParityPoint(n, i)).point
             mapping.append([[n, i], [image.n % size, image.i]])
     return FinInstance(range(0, size, 2), range(1, size, 2), mapping)

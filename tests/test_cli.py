@@ -14,7 +14,7 @@ import pytest
 from conftest import sigma_orbits
 
 import div2
-from div2.cli import _load_json, build_parser, main
+from div2.cli import _join_chi_values, _load_json, build_parser, main
 from div2.divider import MAX_TRACE_LEN, CopyElem, FinInstance
 from div2.localrules import LocalRule, TailViolation, eventually_linear
 
@@ -597,6 +597,18 @@ def test_double_dash_as_an_option_value_exits_two(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "'--' is not a value" in captured.err
+
+
+def test_tokens_after_a_bare_double_dash_are_left_alone(capsys):
+    # after "--" every token is a positional: none is folded into --chi or taken for an option's '--' value
+    argv = ["act", "--", "--chi", "-inf", "--w=--"]
+    assert _join_chi_values(argv) == (argv, None)
+    assert main(["act", "r", "--", "-5"]) == 0
+    assert capsys.readouterr().out == "5\n"
+    assert main(["act", "--", "--w=--"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad generator") and "is not a value" not in captured.err
 
 
 def test_missing_subcommand_exits_two():

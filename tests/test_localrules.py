@@ -675,6 +675,68 @@ def test_search_agrees_with_the_per_rule_path_on_random_gap_windows(monkeypatch)
     assert survived
 
 
+def plain_search_counts(w, d):
+    """``[collisions, gaps]`` and the survivor count, by a depth-first search with a stack and nothing shared.
+
+    Each prefix of the walk's levels extends by every value of the next row;
+    a collision fails the prefix and all its completions at once, and every
+    full prefix without one is a gap or a survivor.  It keeps no memo and no
+    closed form, but it reads the same ``_scan_plan`` rows as the walk, so
+    it checks the walk and not the rows: ``test_plan_masks_hold_the_family_values``
+    and the per-rule path's agreement on small spaces check those.
+    """
+    _, gaps, _, _, rows = localrules._scan_plan(w, d)
+    last = len(rows) - 1
+    # the completions of a prefix that a value of row ``level`` fails
+    below = [len(rows[0]) ** (last - level) for level in range(last + 1)]
+    collisions = gapped = survivors = 0
+    stack = [(0, 0)]
+    while stack:
+        level, images = stack.pop()
+        for _, mask in rows[level]:
+            if mask is None or images & mask:
+                collisions += below[level]
+            elif level < last:
+                stack.append((level + 1, images | mask))
+            elif gaps & ~(images | mask):
+                gapped += 1
+            else:
+                survivors += 1
+    return [collisions, gapped], survivors
+
+
+def test_search_counts_agree_with_a_plain_search():
+    # every admitted space, and past the limits the spaces of up to about 4e8 rules that it runs in about a second
+    for w, d in [*GOLDEN_SEARCH_COUNTS, (6, 9), (7, 9), (8, 7), (10, 5), (4, 29)]:
+        counts, survivors = localrules._search_counts(w, d)
+        assert plain_search_counts(w, d) == (counts, len(survivors)), (w, d)
+        assert sum(counts) + len(survivors) == len(odd_offsets(d)) ** (w + 1)
+
+
+def test_search_agrees_with_a_plain_search_on_random_gap_windows_and_level_orders(monkeypatch):
+    # a gap window with a few bits dropped lets rules survive, and the levels past 0 may come in any order
+    real = localrules._scan_plan
+    rng = random.Random(26)
+    runs, gaps, origin, order, rows = real(6, 9)
+    bits = [b for b in range(gaps.bit_length()) if gaps >> b & 1]
+    survived = 0
+    for _ in range(2):
+        window = gaps & ~sum(1 << b for b in rng.sample(bits, rng.randint(1, 3)))
+        perm = [0, *rng.sample(range(1, len(order)), len(order) - 1)]
+        plan = (runs, window, origin, tuple(order[k] for k in perm), [rows[k] for k in perm])
+        monkeypatch.setattr(localrules, "_scan_plan", lambda *_: plan)
+        counts, survivors = localrules._search_counts(6, 9)
+        assert plain_search_counts(6, 9) == (counts, len(survivors)), perm
+        survived += len(survivors)
+    assert survived
+
+
+def test_the_plain_search_rederives_the_oldest_pins():
+    pinned = {(5, 11): [2693008, 292976], (5, 13): [6759506, 770030], (6, 11): [33460187, 2371621]}
+    for (w, d), counts in pinned.items():
+        assert plain_search_counts(w, d) == (counts, 0)
+
+
 def test_search_counts_past_the_limits_are_pinned():
     # counts of the plain walk before it was memoized; no rule survives
     pinned = {(5, 11): [2693008, 292976], (5, 13): [6759506, 770030], (6, 11): [33460187, 2371621]}

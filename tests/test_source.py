@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 
 import div2
-from div2 import cli
+from div2 import cli, localrules
 
 SOURCES = sorted(Path(div2.__file__).parent.glob("*.py"))
 
@@ -79,6 +79,53 @@ def test_only_a_command_with_json_loads_json():
     assert out.stdout.splitlines() == ["-5", "False", '{"n": -5, "reflect": 1, "shift": 0, "word": "r"}', "True"]
 
 
+def loaded_modules(code: str) -> tuple:
+    """The stdout lines of ``code`` in a fresh interpreter, and the ``div2`` modules it loaded, sorted."""
+    env = dict(os.environ, PYTHONPATH=str(Path(div2.__file__).parent.parent))
+    code += "\nimport sys; print(*sorted(m for m in sys.modules if m.startswith('div2')))"
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    *lines, modules = out.stdout.splitlines()
+    return lines, modules.split()
+
+
+def test_building_the_parser_and_printing_help_load_no_library_module():
+    code = "import div2.cli as c; c.build_parser()\ntry: c.main(['--help'])\nexcept SystemExit: pass"
+    assert loaded_modules(code)[1] == ["div2", "div2.cli"]
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["act", "r", "5"], ["dihedral", "sequences"]),
+        (["divide", "--in", "{inst}"], ["divider", "sequences"]),
+        (["verify", "search", "--w", "2", "--d", "7"], ["dihedral", "localrules", "sequences"]),
+    ],
+)
+def test_a_command_loads_only_the_library_modules_it_runs(tmp_path, argv, modules):
+    inst = tmp_path / "inst.json"
+    inst.write_text('{"X": ["a"], "Y": ["b"], "map": [[["a", 0], ["b", 0]], [["a", 1], ["b", 1]]]}')
+    argv = [arg.format(inst=inst) for arg in argv]
+    _, loaded = loaded_modules(f"import div2.cli as c; c.main({argv!r})")
+    assert loaded == ["div2", "div2.cli"] + [f"div2.{name}" for name in modules]
+
+
+def test_every_public_name_resolves_from_the_package_on_first_use():
+    # importing the package loads no module; each name then comes from the module that defines it
+    code = (
+        "import sys, div2; print(*sorted(m for m in sys.modules if m.startswith('div2')))\n"
+        "for name in div2.__all__:\n"
+        "    exec(f'from div2 import {name} as value')\n"
+        "    module = sys.modules.get(f'div2.{name}')\n"
+        "    print(name, value is module if module else value is vars(sys.modules[value.__module__])[name])\n"
+        "print(set(div2.__all__) <= set(dir(div2)))"
+    )
+    (first, *names, listed), loaded = loaded_modules(code)
+    assert first == "div2"
+    assert names == [f"{name} True" for name in div2.__all__]
+    assert listed == "True"
+    assert loaded == ["div2"] + [f"div2.{name}" for name in ("dihedral", "divider", "localrules", "sequences", "theta")]
+
+
 # each module imports only modules before it, so the package has no import cycle
 LAYERS = ("sequences", "dihedral", "theta", "divider", "localrules", "cli", "__init__", "__main__")
 
@@ -96,7 +143,7 @@ def test_modules_import_only_earlier_layers():
 
 def test_search_help_states_the_search_limits():
     out = io.StringIO()
-    with mock.patch.object(cli, "MAX_SEARCH_W", 11), mock.patch.object(cli, "MAX_SEARCH_D", 13):
+    with mock.patch.object(localrules, "MAX_SEARCH_W", 11), mock.patch.object(localrules, "MAX_SEARCH_D", 13):
         with contextlib.redirect_stdout(out), pytest.raises(SystemExit):
             cli.main(["verify", "search", "--help"])
     text = " ".join(out.getvalue().split())
