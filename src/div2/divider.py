@@ -8,6 +8,10 @@ that alternate a pair of X copies with a pair of Y copies.  Walking each
 cycle from its least copy in the swap-then-flip direction lists labels
 alternately from X and Y; pairing consecutive labels yields a bijection
 X -> Y that depends only on f and the label order, never on input order.
+The walk ends at the first X label already matched, which is the entry
+label: a cycle never holds both copies of a label, since ``phi`` keeps
+the side and maps a cycle onto its reversal, so a cycle it mapped onto
+itself would have a fixed copy.
 
 Internally a copy is an integer id: with ``n = |X|``, the X copy of the
 label at input position ``i`` with bit ``b`` is ``2*i + b`` and the Y copy
@@ -214,18 +218,6 @@ class FinInstance:
             return CopyElem(X_SIDE, self.xs[c >> 1], c & 1)
         return CopyElem(Y_SIDE, self.ys[(c - two_n) >> 1], c & 1)
 
-    def _orbit(self, c: int, steps: int | None = None) -> list:
-        """Copy ids of the forward orbit of copy ``c`` from ``c`` on: the cycle, or its first ``steps + 1``."""
-        swap = self._swap
-        orbit = [c]
-        cur = swap[c] ^ 1
-        for _ in range(len(swap) if steps is None else steps):
-            if cur == c:
-                break
-            orbit.append(cur)
-            cur = swap[cur] ^ 1
-        return orbit
-
     def theta(self, z: CopyElem) -> CopyElem:
         """Apply the copy bijection in whichever direction is defined at ``z``."""
         return self._elem(self._swap[self._copy_id(z)])
@@ -275,11 +267,20 @@ def _check_trace_range(lo: int, hi: int) -> None:
 
 
 def _iterate_bits(inst: FinInstance, c: int, first: int, last: int) -> list:
-    """The bits of forward iterates ``first`` to ``last`` of copy ``c``, for ``0 <= first <= last``."""
-    orbit = inst._orbit(c, last)
-    period = len(orbit)
-    if period <= last:  # the walk closed the cycle before its last step
-        return [orbit[k % period] & 1 for k in range(first, last + 1)]
+    """The bits of forward iterates ``first`` to ``last`` of copy ``c``, for ``0 <= first <= last``.
+
+    The walk stops after ``last`` steps or where the cycle closes, whichever
+    comes first; a closed cycle is then read modulo its length.
+    """
+    swap = inst._swap
+    orbit = [c]
+    cur = swap[c] ^ 1
+    for _ in range(last):
+        if cur == c:  # the walk closed the cycle before its last step
+            period = len(orbit)
+            return [orbit[k % period] & 1 for k in range(first, last + 1)]
+        orbit.append(cur)
+        cur = swap[cur] ^ 1
     return [u & 1 for u in orbit[first:]]
 
 
@@ -308,25 +309,21 @@ def divide(inst: FinInstance) -> dict:
     consecutive (X, Y) labels are matched.  Relabeling-equivariant and
     independent of the order X, Y, or the map entries were given in.
     """
-    xs, ys = inst.xs, inst.ys
+    xs, ys, swap = inst.xs, inst.ys, inst._swap
     two_n = 2 * len(xs)
     order = _canonical_order(xs)
-    # indexed by X position: the walk meets one copy of every label in the
-    # cycle and the flipped copies close the same cycle, so a label is done
-    # once either copy is met
-    seen = bytearray(len(xs))
-    partner = [0] * len(xs)
+    partner = [-1] * len(xs)  # by X position: the Y position matched to it, or -1 before its cycle is walked
     for i in order:
-        if seen[i]:
-            continue
-        orbit = inst._orbit(2 * i)
-        for a, z in zip(orbit[::2], orbit[1::2]):
-            if a >= two_n or z < two_n:
-                raise RuntimeError(
-                    f"cycle through {inst._elem(a)} does not alternate X and Y copies"
-                )
-            seen[a >> 1] = 1
+        # from X copy to X copy, matching each to the Y label after it; a cycle never holds both copies of a
+        # label (see the module docstring), so the first matched label met is the entry's own, where the
+        # cycle closes.  Each step matches a label, so all walks take |X| steps in all
+        a = 2 * i
+        while partner[a >> 1] < 0:
+            z = swap[a]
             partner[a >> 1] = (z - two_n) >> 1
+            a = swap[z ^ 1] ^ 1
+            if z < two_n or a >= two_n:
+                raise RuntimeError(f"cycle through {inst._elem(2 * i)} does not alternate X and Y copies")
     return {xs[i]: ys[partner[i]] for i in order}
 
 

@@ -413,7 +413,11 @@ def test_trace_agrees_with_the_whole_cycle_read_modulo_its_length():
         rng.shuffle(targets)
         inst = make_instance(xs, ys, targets)
         for z in rng.sample(inst.copies(), min(6, 4 * size)):
-            orbit = inst._orbit(inst._copy_id(z))
+            # the cycle's bits from z on, followed through the public sigma
+            orbit, cur = [z.bit], inst.sigma(z)
+            while cur != z:
+                orbit.append(cur.bit)
+                cur = inst.sigma(cur)
             p = len(orbit)
             checked.add((p, z.side, z.bit))
             far = rng.randrange(3 * p, 40 * p)
@@ -423,7 +427,7 @@ def test_trace_agrees_with_the_whole_cycle_read_modulo_its_length():
                 (-1, 0), (-p + 1, p - 1), (-p - 1, p + 1), (-p, p), (-2 * p - 3, 3 * p + 5), (-far, far),
             ]
             for lo, hi in ranges:
-                assert chi_trace(inst, z, lo, hi) == [orbit[k % p] & 1 for k in range(lo, hi + 1)], (lo, hi)
+                assert chi_trace(inst, z, lo, hi) == [orbit[k % p] for k in range(lo, hi + 1)], (lo, hi)
     assert {p for p, _, _ in checked} >= {2, 4, 6, 8} and max(p for p, _, _ in checked) >= 40
     assert {(side, bit) for _, side, bit in checked} == {("X", 0), ("X", 1), ("Y", 0), ("Y", 1)}
 
@@ -500,6 +504,44 @@ def test_divide_respects_relabeling():
 def test_divide_always_verifies(size, rnd):
     inst = random_instance(rnd, size)
     assert verify_matching(inst, divide(inst))
+
+
+def blocked_mixed_instance(rng, size, block):
+    """Mixed int and str labels, copies permuted within blocks of ``block`` labels, all presented shuffled."""
+    xs = [k if rng.random() < 0.5 else f"x{k}" for k in range(size)]
+    ys = [-k - 1 if rng.random() < 0.5 else f"y{k}" for k in range(size)]
+    rng.shuffle(xs)
+    rng.shuffle(ys)
+    entries = []
+    for start in range(0, size, block):
+        targets = [[y, b] for y in ys[start:start + block] for b in (0, 1)]
+        rng.shuffle(targets)
+        entries += [[[x, b], targets[2 * k + b]] for k, x in enumerate(xs[start:start + block]) for b in (0, 1)]
+    for seq in (xs, ys, entries):
+        rng.shuffle(seq)
+    return FinInstance(xs, ys, entries)
+
+
+def divide_by_definition(inst):
+    """Enter each cycle with no matched label at its first copy in ``copies()``, follow ``sigma``, pair neighbours."""
+    matching = {}
+    for orbit in sigma_orbits(inst):
+        if orbit[0].label not in matching:
+            matching.update((x.label, y.label) for x, y in zip(orbit[::2], orbit[1::2]))
+    return matching
+
+
+def test_divide_follows_its_definition_on_both_bench_shapes():
+    # uniform: a few long cycles; blocked within 4 labels: many short ones.  A walk entered at the
+    # wrong copy, or stopped before its cycle closes, pairs some label with another Y label
+    rng = random.Random(29)
+    longest = {}
+    for shape, block in (("uniform", 300), ("blocked", 4)):
+        for size in [1, 2, 3, 4, 5] + [rng.randrange(6, 301) for _ in range(15)]:
+            inst = blocked_mixed_instance(rng, size, block)
+            assert divide(inst) == divide_by_definition(inst), (shape, size)
+            longest[shape] = max(longest.get(shape, 0), *map(len, sigma_orbits(inst)))
+    assert longest["blocked"] <= 16 < longest["uniform"]
 
 
 # --- matching verification ---
