@@ -168,11 +168,10 @@ def _cmd_trace(args):
 
 
 def _cmd_divide(args):
-    from .divider import FinInstance, divide
+    from .divider import FinInstance, _check_trace_range, divide
 
-    inst = FinInstance.from_json(_load_json(args.infile))
     if args.trace:
-        # the trace is taken before the matching is computed, so a bad spec stops the command first
+        # the spec and its range are checked before the instance is read, as trace does
         parts = args.trace.split(",")
         if len(parts) != 4:
             raise ValueError(f"--trace wants label,bit,lo,hi, got {args.trace!r}")
@@ -180,6 +179,10 @@ def _cmd_divide(args):
             bit, lo, hi = (int(p) for p in parts[1:])
         except ValueError:
             raise ValueError(f"--trace wants integer bit,lo,hi, got {args.trace!r}") from None
+        _check_trace_range(lo, hi)
+    inst = FinInstance.from_json(_load_json(args.infile))
+    if args.trace:
+        # the trace is taken before the matching is computed, so a bad label or bit stops the command first
         trace = _trace(inst, "X", parts[0].strip(), bit, lo, hi)
     matching = divide(inst)
     # json.dumps writes the tuples as arrays

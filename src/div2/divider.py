@@ -201,9 +201,6 @@ class FinInstance:
         pairs = list(mapping.items()) if isinstance(mapping, dict) else list(mapping)
         self._xpos, self._ypos, self._swap = _validate(self.xs, self.ys, pairs)
 
-    def __len__(self) -> int:
-        return len(self.xs)
-
     def _copy_id(self, z: CopyElem) -> int:
         pos, base = (self._xpos, 0) if z.side == X_SIDE else (self._ypos, 2 * len(self.xs))
         if z.label not in pos:

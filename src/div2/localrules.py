@@ -65,22 +65,14 @@ class WindowPattern(_Value):
         if not -self.w <= self.cut <= self.w + 1:
             raise ValueError(f"cut {self.cut} out of range [{-self.w}, {self.w + 1}]")
 
-    @property
-    def is_all_zero(self) -> bool:
-        return self.cut == -self.w
-
-    @property
-    def is_all_one(self) -> bool:
-        return self.cut == self.w + 1
-
     def reflect_complement(self) -> "WindowPattern":
         """The window seen at ``-n`` by the reflected parameter; an involution."""
         return WindowPattern(self.w, 1 - self.cut)
 
     def name(self) -> str:
-        if self.is_all_zero:
+        if self.cut == -self.w:
             return "allzero"
-        if self.is_all_one:
+        if self.cut == self.w + 1:
             return "allone"
         return f"cut:{self.cut}"
 

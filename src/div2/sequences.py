@@ -127,12 +127,8 @@ class ZInf(_Value):
             raise ValueError("infinite points carry no threshold")
 
     @property
-    def is_finite(self) -> bool:
-        return self.kind == 0
-
-    @property
     def threshold(self) -> int:
-        if not self.is_finite:
+        if self.kind != 0:
             raise ValueError(f"{self} has no threshold")
         return self.n
 
@@ -143,16 +139,8 @@ class ZInf(_Value):
             return "+inf"
         return self.n
 
-    @classmethod
-    def from_json(cls, obj) -> "ZInf":
-        if obj == "-inf":
-            return MINUS_INF
-        if obj == "+inf":
-            return PLUS_INF
-        return fin(_check_int(obj, "point"))
-
     def __str__(self) -> str:
-        return f"nbar:{self.n}" if self.is_finite else self.to_json()
+        return f"nbar:{self.n}" if self.kind == 0 else self.to_json()
 
 
 MINUS_INF = ZInf(-1)

@@ -344,6 +344,21 @@ def test_trace_ranges_past_the_limit_exit_two_at_once(tmp_path, capsys):
         assert f"limit of {MAX_TRACE_LEN}" in captured.err
 
 
+def test_divide_checks_the_trace_spec_before_it_reads_the_instance(tmp_path, capsys):
+    missing = str(tmp_path / "nope.json")
+    bad_specs = {
+        "a,0": "--trace wants label,bit,lo,hi",
+        "a,x,0,3": "--trace wants integer bit,lo,hi",
+        "a,0,5,1": "empty trace range: lo=5 > hi=1",
+        "a,0,0,2000000": f"more than the limit of {MAX_TRACE_LEN}",
+    }
+    for spec, message in bad_specs.items():
+        assert main(["divide", "--in", missing, "--trace", spec]) == 2
+        assert message in capsys.readouterr().err
+    assert main(["divide", "--in", missing, "--trace", "a,0,0,3"]) == 2
+    assert capsys.readouterr().err == f"error: {missing}: No such file or directory\n"
+
+
 def test_trace_range_at_the_limit_succeeds(tmp_path, capsys):
     inst = write(tmp_path, "inst.json", TWO)
     period = [z.bit for z in next(o for o in sigma_orbits(FinInstance.from_json(TWO)) if o[0] == CopyElem("X", "a", 0))]

@@ -460,7 +460,6 @@ def test_divide_other_orientation_two_by_two():
     )
     matching = divide(inst)
     assert verify_matching(inst, matching)
-    assert len(inst) == len(inst.xs)
 
 
 def test_divide_is_exhaustively_correct_up_to_two():

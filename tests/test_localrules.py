@@ -105,8 +105,8 @@ def test_pattern_bits_and_extremes():
     assert bits(WindowPattern(1, -1)) == (0, 0, 0)
     assert bits(WindowPattern(1, 2)) == (1, 1, 1)
     assert bits(WindowPattern(1, 0)) == (1, 0, 0)
-    assert WindowPattern(1, -1).is_all_zero
-    assert WindowPattern(1, 2).is_all_one
+    assert WindowPattern(1, -1).name() == "allzero"
+    assert WindowPattern(1, 2).name() == "allone"
 
 
 def test_pattern_count():
