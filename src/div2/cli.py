@@ -76,12 +76,11 @@ def _dump(payload) -> str:
 
 def _find_label(positions: dict, text: str, side: str):
     """The label on one side that prints as ``text``: ``text`` itself or an int."""
-    candidates = [text]
     try:
-        candidates.append(int(text))
+        candidates = {text, int(text)}
     except ValueError:  # not an integer, or past the int string conversion limit
-        pass
-    hits = [label for label in candidates if label in positions and str(label) == text]
+        candidates = {text}
+    hits = [label for label in candidates & positions.keys() if str(label) == text]
     if not hits:
         raise ValueError(f"label {text!r} is not on the {side} side")
     if len(hits) > 1:
@@ -113,20 +112,16 @@ def _cmd_act(args):
     from .sequences import ZInf
 
     g = DihedralElt.from_word(args.word)
-    payload = {"word": args.word, "reflect": g.reflect, "shift": g.shift}
+    payload = {"word": args.word, **vars(g)}
     lines = []
     if args.n is not None:
         payload["n"] = g.act_int(args.n)
         lines.append(str(payload["n"]))
     if args.chi is not None:
         chi = _parse_chi(args.chi)
-        if isinstance(chi, ZInf):
-            image = g.act_zinf(chi)
-            lines.append(str(image))
-        else:
-            image = g.act_seq(chi)
-            lines.append(_dump(image.to_json()))
+        image = g.act_zinf(chi) if isinstance(chi, ZInf) else g.act_seq(chi)
         payload["chi"] = image.to_json()
+        lines.append(str(image) if isinstance(image, ZInf) else _dump(payload["chi"]))
     return 0, payload, lines or [str(g)]
 
 
@@ -140,12 +135,7 @@ def _cmd_theta(args):
     result = theta(embed(chi) if isinstance(chi, ZInf) else chi, p)
     radius = window_radius(p)
     lo, _, hi = result.depends_on
-    payload = {
-        "n": result.point.n,
-        "i": result.point.i,
-        "depends_on": list(result.depends_on),
-        "radius": radius,
-    }
+    payload = {**vars(result.point), "depends_on": list(result.depends_on), "radius": radius}
     return 0, payload, [str(result.point), f"depends on chi at indices {lo}..{hi}; agreement radius {radius}"]
 
 
@@ -206,21 +196,10 @@ def _cmd_verify_lemma(args):
     rule = LocalRule.from_json(_load_json(args.rule))
     outcome = eventually_linear(rule)
     if isinstance(outcome, TailViolation):
-        payload = {
-            "verified": False,
-            "n": outcome.n,
-            "expected": outcome.expected,
-            "actual": outcome.actual,
-        }
-        return 1, payload, [f"tail FAILS at n={outcome.n}: expected {outcome.expected}, got {outcome.actual}"]
+        line = f"tail FAILS at n={outcome.n}: expected {outcome.expected}, got {outcome.actual}"
+        return 1, {"verified": False, **vars(outcome)}, [line]
     right, left = _tail_windows(rule.w, outcome.N)
-    payload = {
-        "verified": True,
-        "k": outcome.k,
-        "N": outcome.N,
-        "right_window": list(right),
-        "left_window": list(left),
-    }
+    payload = {"verified": True, **vars(outcome), "right_window": list(right), "left_window": list(left)}
     return 0, payload, [
         f"tail displacement k={outcome.k}, bound N={outcome.N}",
         f"right tail n+{outcome.k} holds on ({right[0]}, {right[1]}]; "
@@ -235,7 +214,7 @@ def _cmd_verify_parity(args):
     tail = LinearTail(args.k, args.N)
     evens, odds = parity_counts(tail)
     contradiction = evens % 2 == 1 and odds % 2 == 0
-    payload = {"k": tail.k, "N": tail.N, "evens": evens, "odds": odds, "contradiction": contradiction}
+    payload = {**vars(tail), "evens": evens, "odds": odds, "contradiction": contradiction}
     even_word = "odd" if evens % 2 else "even"
     odd_word = "odd" if odds % 2 else "even"
     verdict = "contradiction confirmed" if contradiction else "NO contradiction"

@@ -167,12 +167,8 @@ class LocalRule(_Value):
         # name only the first few gaps, so the work is bounded by the table
         absent = 2 * w + 2 - len(entries)
         if absent:
-            missing = []
-            cut = -w
-            while len(missing) < min(absent, 3):
-                if cut not in entries:
-                    missing.append(WindowPattern(w, cut).name())
-                cut += 1
+            gaps = (cut for cut in range(-w, w + 2) if cut not in entries)
+            missing = [WindowPattern(w, cut).name() for cut in itertools.islice(gaps, 3)]
             more = f" and {absent - len(missing)} more" if absent > len(missing) else ""
             raise ValueError(f"table is missing patterns: {missing}{more}")
         offsets = tuple(entries[cut] for cut in range(-w, w + 2))
@@ -292,14 +288,11 @@ def eventually_linear(rule: LocalRule):
     N = bound + 1 if (bound + 1) % 2 == 0 else bound + 2
     zero = fin(0)
     right, left = _tail_windows(rule.w, N)
-    for n in range(right[0] + 2, right[1] + 1, 2):
+    for n in itertools.chain(range(right[0] + 2, right[1] + 1, 2), range(*left, 2)):
+        expected = n + k if n > 0 else n - k
         actual = rule.apply(zero, n)
-        if actual != n + k:
-            return TailViolation(n, n + k, actual)
-    for n in range(*left, 2):
-        actual = rule.apply(zero, n)
-        if actual != n - k:
-            return TailViolation(n, n - k, actual)
+        if actual != expected:
+            return TailViolation(n, expected, actual)
     return LinearTail(k, N)
 
 

@@ -241,19 +241,12 @@ class BiSeq(_Value):
 
     def agrees_within(self, other: "BiSeq", radius: int) -> bool:
         """Whether the two sequences are equal at every index ``|m| < radius``."""
-        lo, hi = -radius + 1, radius - 1
-        if lo > hi:
+        if radius < 1:
             return True
-        inner_lo = min(self.start, other.start)
-        inner_hi = max(self.end, other.end) - 1
-        if lo < inner_lo and self.left != other.left:
-            return False
-        if hi > inner_hi and self.right != other.right:
-            return False
-        for m in range(max(lo, inner_lo), min(hi, inner_hi) + 1):
-            if self.at(m) != other.at(m):
-                return False
-        return True
+        # both sequences are constant up to ``first`` and from ``last`` on, so the window is clamped to that range
+        first, last = min(self.start, other.start) - 1, max(self.end, other.end)
+        lo, hi = min(max(1 - radius, first), last), max(min(radius - 1, last), first)
+        return all(self.at(m) == other.at(m) for m in range(lo, hi + 1))
 
     def flip_at(self, n: int) -> "BiSeq":
         """A copy with the bit at index ``n`` flipped."""

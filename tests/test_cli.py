@@ -743,11 +743,11 @@ def test_running_out_of_memory_exits_two_without_a_traceback(large_instance):
 
 
 def test_a_reader_that_stops_early_ends_the_command_quietly(large_instance):
-    proc = divide_process(large_instance, stdout=subprocess.PIPE)
-    assert len(proc.stdout.read(10)) == 10
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(), err) == (141, b"")
+    with divide_process(large_instance, stdout=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (141, b"")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")

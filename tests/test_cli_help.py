@@ -11,7 +11,7 @@ arguments:`` where 3.10 and later print ``options:``), so the pins are kept
 per minor, and the test skips on a minor that has none.  After an intended change,
 regenerate them with each interpreter to pin, and read the diff:
 
-    PYTHONPATH=src python tests/test_cli_help.py python3.10 python3.11
+    PYTHONPATH=src python tests/test_cli_help.py python3.10 python3.11 python3.12 python3.13
 """
 
 import json

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import div2
@@ -133,7 +133,9 @@ def test_agreement_examples():
     assert zero.agrees_within(zero, 10**9)
 
 
-@given(biseqs, biseqs, st.integers(0, 12))
+@given(biseqs, biseqs, st.integers(-3, 12))
+@example(BiSeq(0, 5, (1,), 0), BiSeq(1, 5, (1,), 0), 0)  # an empty window, with both cores above it
+@example(BiSeq(0, 5, (1,), 0), BiSeq(1, 5, (1,), 0), 3)  # a window wholly in the left tails
 def test_agreement_matches_brute_force(a, b, radius):
     brute = all(a.at(m) == b.at(m) for m in range(-radius + 1, radius))
     assert a.agrees_within(b, radius) == brute
