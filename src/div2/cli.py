@@ -2,7 +2,8 @@
 
 Exit codes: 0 for success, 1 when a verification finds a result that should
 be impossible, 2 for malformed input of any kind, a run out of memory or a
-failed write to stdout, 130 when the user interrupts the run, and 141 when
+failed write to stdout (a full disk, a closed stdout, or text that stdout's
+encoding cannot hold), 130 when the user interrupts the run, and 141 when
 the reader of stdout closes it early.
 
 ``json`` is imported on first use, by a command that reads a file, takes a
@@ -27,6 +28,7 @@ from the terminal once per build.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import gc
 import os
@@ -419,17 +421,18 @@ def main(argv=None) -> int:
 
 def run() -> None:
     try:
+        if sys.stdout is None:  # fd 1 was closed at start-up, so print would drop the output
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early; with fd 1 on devnull the interpreter's last flush cannot fail again.
-        # 141 = 128 + SIGPIPE, what a shell reports for a writer that the pipe ended
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141
-    except OSError as exc:  # stdout on a full disk, or any other failed write
-        print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 2
+    except (OSError, UnicodeEncodeError) as exc:
+        # a reader that stopped early gets 141 = 128 + SIGPIPE, what a shell reports for a writer that the pipe
+        # ended; any other failed write (a full disk, or text that stdout's encoding cannot hold) is an error
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: stdout: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+        # with fd 1 on devnull the interpreter's last flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        code = 141 if isinstance(exc, BrokenPipeError) else 2
     except KeyboardInterrupt:
         code = 130  # 128 + SIGINT
     raise SystemExit(code)

@@ -23,7 +23,7 @@ class ParityPoint(_Value):
 
     def __post_init__(self):
         _check_int(self.n, "n")
-        object.__setattr__(self, "i", _check_bit(self.i, "copy bit"))
+        self.__dict__["i"] = _check_bit(self.i, "copy bit")
 
     @property
     def parity(self) -> str:
@@ -48,7 +48,7 @@ class DihedralElt(_Value):
     shift: int
 
     def __post_init__(self):
-        object.__setattr__(self, "reflect", _check_bit(self.reflect, "reflect"))
+        self.__dict__["reflect"] = _check_bit(self.reflect, "reflect")
         _check_int(self.shift, "shift")
 
     def __mul__(self, other: "DihedralElt") -> "DihedralElt":
@@ -86,11 +86,11 @@ class DihedralElt(_Value):
 
     def act_seq(self, chi: BiSeq) -> BiSeq:
         """Action on sequences: (t.chi)(n) = chi(n-2), (r.chi)(n) = 1 - chi(-n)."""
-        shifted = BiSeq(chi.left, chi.start + 2 * self.shift, chi.core, chi.right)
+        start = chi.start + 2 * self.shift
         if not self.reflect:
-            return shifted
-        core = tuple(1 - b for b in reversed(shifted.core))
-        return BiSeq(1 - shifted.right, 1 - shifted.start - len(core), core, 1 - shifted.left)
+            return BiSeq(chi.left, start, chi.core, chi.right)
+        core = tuple(1 - b for b in reversed(chi.core))
+        return BiSeq(1 - chi.right, 1 - start - len(core), core, 1 - chi.left)
 
     def act_zinf(self, p: ZInf) -> ZInf:
         """Action on extended-integer points: act on the sequence ``p`` stands for, and classify the image."""

@@ -176,7 +176,7 @@ class CopyElem(_Value):
         if self.side not in (X_SIDE, Y_SIDE):
             raise ValueError(f"side must be {X_SIDE!r} or {Y_SIDE!r}, got {self.side!r}")
         _check_label(self.label, "copy")
-        object.__setattr__(self, "bit", _check_bit(self.bit, "copy bit"))
+        self.__dict__["bit"] = _check_bit(self.bit, "copy bit")
 
 
 def phi(z: CopyElem) -> CopyElem:

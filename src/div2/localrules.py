@@ -130,7 +130,7 @@ class LocalRule(_Value):
                 raise ValueError(f"offset for cut {pos - self.w} must be odd, got {off}")
             if abs(off) > self.d:
                 raise ValueError(f"offset {off} for cut {pos - self.w} exceeds bound {self.d}")
-        object.__setattr__(self, "offsets", offsets)
+        self.__dict__["offsets"] = offsets
 
     def offset(self, pattern: WindowPattern) -> int:
         if pattern.w != self.w:

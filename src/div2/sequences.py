@@ -17,44 +17,35 @@ compare, hash and print by field, built without importing ``dataclasses``.
 
 from __future__ import annotations
 
+import collections
+import functools
+
 
 class _Value:
     """Base of the frozen value classes: the fields are the class's own annotations.
 
     A class attribute of a field's name is its default.  ``__init__`` takes
     the fields by position or keyword into the instance dict, which holds
-    nothing else, then runs ``__post_init__`` to check them.  As in a frozen
-    dataclass, instances of one class are equal when their fields are, hash
-    as the field tuple and print as ``Name(field=value, ...)``; assignment
-    and deletion raise ``AttributeError``.  ``__match_args__`` lists fields.
+    nothing else, then runs ``__post_init__`` to check them; a check that
+    normalizes a field writes it back into that dict.  Python binds the
+    arguments: a call that does not pass every field by position goes
+    through the constructor of ``_binder(cls)``, which raises Python's own
+    ``TypeError`` for a missing, extra, repeated or unknown argument.  As in
+    a frozen dataclass, instances of one class are equal when their fields
+    are, hash as the field tuple and print as ``Name(field=value, ...)``;
+    assignment and deletion raise ``AttributeError``.  ``__match_args__``
+    lists the fields.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = tuple(cls.__annotations__)
-        cls._defaults = {name: cls.__dict__[name] for name in cls.__match_args__ if name in cls.__dict__}
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != len(self.__match_args__):
-            args = self._bind(args, kwargs)
+            args = _binder(self.__class__)(*args, **kwargs)
         self.__dict__.update(zip(self.__match_args__, args))
         self.__post_init__()
-
-    @classmethod
-    def _bind(cls, args: tuple, kwargs: dict) -> tuple:
-        """The field values from positional and keyword arguments, with the defaults filled in."""
-        fields, name = cls.__match_args__, cls.__name__
-        if len(args) > len(fields):
-            raise TypeError(f"{name}() takes {len(fields)} arguments but {len(args)} were given")
-        for key in kwargs:
-            if key not in fields[len(args):]:
-                what = "multiple values for argument" if key in fields else "an unexpected keyword argument"
-                raise TypeError(f"{name}() got {what} {key!r}")
-        values = {**cls._defaults, **dict(zip(fields, args)), **kwargs}
-        missing = [key for key in fields if key not in values]
-        if missing:
-            raise TypeError(f"{name}() missing required arguments: {', '.join(map(repr, missing))}")
-        return tuple(values[key] for key in fields)
 
     def __post_init__(self):
         pass
@@ -76,6 +67,17 @@ class _Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+@functools.cache
+def _binder(cls) -> type:
+    """A namedtuple of ``cls``'s fields and defaults, whose constructor binds arguments as ``cls`` takes them.
+
+    namedtuple gives its defaults to the last fields, so a defaulted field
+    must not come before one without a default.
+    """
+    fields = cls.__match_args__
+    return collections.namedtuple(cls.__name__, fields, defaults=[vars(cls)[name] for name in fields if name in vars(cls)])
 
 
 def _check_bit(value, what: str = "bit") -> int:
@@ -143,8 +145,8 @@ class ZInf(_Value):
         return f"nbar:{self.n}" if self.kind == 0 else self.to_json()
 
 
-MINUS_INF = ZInf(-1)
-PLUS_INF = ZInf(1)
+MINUS_INF = ZInf(-1, 0)
+PLUS_INF = ZInf(1, 0)
 
 
 def fin(n: int) -> ZInf:
@@ -196,10 +198,7 @@ class BiSeq(_Value):
         core = core[i:j]
         if not core and left == right:
             start = 0
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "core", core)
+        self.__dict__.update(left=left, start=start, core=core, right=right)
 
     @property
     def end(self) -> int:

@@ -751,14 +751,29 @@ def test_a_reader_that_stops_early_ends_the_command_quietly(large_instance):
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
-def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance):
+def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance, tmp_path):
     # exit 1 is reserved for a verification that finds an impossible result
-    for argv in (["act", "r", "5"], ["divide", "--in", large_instance]):
-        with open("/dev/full", "w") as full:
-            proc = subprocess.run([sys.executable, "-m", "div2", *argv], env=CHILD_ENV, stdout=full, stderr=subprocess.PIPE, text=True)
-        assert proc.returncode == 2, (argv, proc.stderr)
-        assert proc.stderr.startswith("error: stdout: ")
-        assert "Traceback" not in proc.stderr
+    def instance(label):
+        inst = {"X": [label], "Y": ["b"], "map": [[[label, 0], ["b", 0]], [[label, 1], ["b", 1]]]}
+        return write(tmp_path, f"{ord(label)}.json", inst)
+
+    with open("/dev/full", "w") as full:
+        cases = [
+            (["act", "r", "5"], {"stdout": full}),
+            (["divide", "--in", large_instance], {"stdout": full}),
+            # a lone surrogate is valid JSON but no UTF-8, and "é" is no ASCII
+            (["divide", "--in", instance("\ud800")], {"stdout": subprocess.PIPE}),
+            (["divide", "--in", instance("é")], {"stdout": subprocess.PIPE, "env": dict(CHILD_ENV, PYTHONIOENCODING="ascii")}),
+            # fd 1 closed before the interpreter starts, as by ``div2 act r 5 >&-``
+            (["act", "r", "5"], {"preexec_fn": lambda: os.close(1)}),
+            (["act", "x", "5"], {"preexec_fn": lambda: os.close(1)}),
+        ]
+        for argv, kwargs in cases:
+            proc = subprocess.run([sys.executable, "-m", "div2", *argv], **{"env": CHILD_ENV, **kwargs}, stderr=subprocess.PIPE, text=True)
+            assert proc.returncode == 2, (argv, proc.stderr)
+            assert proc.stderr.startswith("error: stdout: "), (argv, proc.stderr)
+            assert "Traceback" not in proc.stderr
+            assert not proc.stdout
 
 
 def test_an_interrupt_exits_130_quietly():

@@ -126,6 +126,45 @@ def test_every_public_name_resolves_from_the_package_on_first_use():
     assert loaded == ["div2"] + [f"div2.{name}" for name in ("dihedral", "divider", "localrules", "sequences", "theta")]
 
 
+def test_no_binder_is_built_at_import_or_by_any_command(tmp_path):
+    # the package constructs every value with all its fields by position, so no namedtuple binder is built
+    # at import (as a defaulted ZInf(-1) would) or by any command
+    (tmp_path / "inst.json").write_text('{"X": ["a"], "Y": ["b"], "map": [[["a", 0], ["b", 0]], [["a", 1], ["b", 1]]]}')
+    (tmp_path / "rule.json").write_text('{"w": 0, "table": {"allzero": 1, "allone": -1}}')
+    commands = [
+        ["act", "r", "5"],
+        ["act", "--chi", "-inf", "t"],
+        ["theta", "--chi", "3", "--n", "2", "--i", "0"],
+        ["divide", "--in", "inst.json", "--out", "match.json", "--trace", "a,0,0,3"],
+        ["trace", "--in", "inst.json", "--label", "a", "--bit", "0", "--lo", "0", "--hi", "3"],
+        ["verify", "lemma", "--rule", "rule.json"],
+        ["verify", "parity", "--k", "3", "--N", "4"],
+        ["verify", "search", "--w", "1", "--d", "3"],
+        ["verify", "matching", "--inst", "inst.json", "--match", "match.json"],
+    ]
+    code = (
+        "import os, div2.cli as c, div2.sequences as s\n"
+        "from div2 import dihedral, divider, localrules, theta\n"
+        f"os.chdir({str(tmp_path)!r}); print(s._binder.cache_info().currsize)\n"
+        f"print(*[c.main(argv) for argv in {commands!r}])\n"
+        "print(s._binder.cache_info().currsize)"
+    )
+    lines, _ = loaded_modules(code)
+    assert (lines[0], lines[-2], lines[-1]) == ("0", " ".join(["0"] * len(commands)), "0")
+
+
+def test_defaulted_fields_come_last():
+    # the binder is a namedtuple, which gives its defaults to the last fields, as a dataclass requires
+    from div2 import dihedral, divider, localrules, theta  # noqa: F401 - they define the value classes
+    from div2.sequences import _Value
+
+    classes = _Value.__subclasses__()
+    assert len(classes) == 16
+    for cls in classes:
+        defaulted = [name in vars(cls) for name in cls.__match_args__]
+        assert defaulted == sorted(defaulted), cls.__name__
+
+
 # each module imports only modules before it, so the package has no import cycle
 LAYERS = ("sequences", "dihedral", "theta", "divider", "localrules", "cli", "__init__", "__main__")
 
