@@ -4,7 +4,8 @@ Exit codes: 0 for success, 1 when a verification finds a result that should
 be impossible, 2 for malformed input of any kind, a run out of memory or a
 failed write to stdout (a full disk, a closed stdout, or text that stdout's
 encoding cannot hold), 130 when the user interrupts the run, and 141 when
-the reader of stdout closes it early.
+the reader of stdout closes it early.  Every ``error:`` line goes through
+``_error``, which drops it when stderr is closed or full; the code stays.
 
 ``json`` is imported on first use, by a command that reads a file, takes a
 JSON ``--chi`` or prints ``--json``.  ``act`` and ``theta`` with a threshold
@@ -21,8 +22,10 @@ building the parser (``--help`` too) load none of them.  ``act`` loads
 ``build_parser`` makes the ``div2`` parser and one parser per command with
 its help line.  A command's own arguments, and for ``verify`` its checks'
 parsers, are added when argparse dispatches to that parser, so a run builds
-those of the command it runs and no other.  The help width is still read
-from the terminal once per build.
+those of the command it runs and no other.  Every parser adds its own
+``-h`` action with argparse's help text, which argparse would otherwise look
+up through ``gettext`` once per parser.  The help width is still read from
+the terminal once per build.
 """
 
 from __future__ import annotations
@@ -34,6 +37,14 @@ import gc
 import os
 import shutil
 import sys
+
+
+def _error(message: str) -> None:
+    """Write ``error: message`` to stderr, or drop it when stderr cannot take it: the exit code still tells."""
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # a closed or full stderr
+        pass
 
 
 def _parse_json(data, source: str):
@@ -251,17 +262,27 @@ def _cmd_verify_matching(args):
     return 1, payload, [f"matching INVALID: {problem}"]
 
 
+# argparse's own text for -h, the same in 3.10 to 3.13
+_HELP = "show this help message and exit"
+
+
 class _CommandParser(argparse.ArgumentParser):
-    """A command's parser, which gets its arguments when argparse first dispatches to it.
+    """A div2 parser, which gets its arguments when argparse first dispatches to it.
+
+    Every parser, the top-level ``div2`` one included, adds its own ``-h,
+    --help`` action here, with argparse's text, where argparse would look
+    that text up through ``gettext`` for each parser built.
 
     argparse's subparsers action calls the chosen parser's ``parse_known_args``,
     and that runs ``fill(self)`` once, before it parses: the parsers of the
     commands not run never get theirs.  ``fill`` returns the function the
     command runs, or None for ``verify``, whose checks are parsers of their own.
+    The top-level ``div2`` parser has no ``fill``.
     """
 
-    def __init__(self, *, fill, **kwargs):
-        super().__init__(**kwargs)
+    def __init__(self, *, fill=None, **kwargs):
+        super().__init__(add_help=False, **kwargs)
+        self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS, help=_HELP)
         self._fill = fill
 
     def parse_known_args(self, args=None, namespace=None):
@@ -351,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     # what HelpFormatter computes itself when it is given no width
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
-    parser = argparse.ArgumentParser(
+    parser = _CommandParser(
         prog="div2",
         description="Divide bijections by two, evaluate the even/odd pairing family, "
         "and verify the obstructions to doing it naively.",
@@ -406,13 +427,13 @@ def main(argv=None) -> int:
             if args.json:
                 lines = [_dump(payload)]
         except ValueError as exc:  # InstanceError and NotReflectionEquivariant among them
-            print(f"error: {exc}", file=sys.stderr)
+            _error(str(exc))
             return 2
         if lines:
             print("\n".join(lines))
         return code
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
+        _error("out of memory")
         return 2
     finally:
         if enabled:
@@ -420,6 +441,8 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
+    if sys.stderr is None:  # fd 2 was closed at start-up, and print and argparse would write errors to stdout
+        sys.stderr = open(os.devnull, "w")
     try:
         if sys.stdout is None:  # fd 1 was closed at start-up, so print would drop the output
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -429,7 +452,7 @@ def run() -> None:
         # a reader that stopped early gets 141 = 128 + SIGPIPE, what a shell reports for a writer that the pipe
         # ended; any other failed write (a full disk, or text that stdout's encoding cannot hold) is an error
         if not isinstance(exc, BrokenPipeError):
-            print(f"error: stdout: {getattr(exc, 'strerror', None) or exc}", file=sys.stderr)
+            _error(f"stdout: {getattr(exc, 'strerror', None) or exc}")
         # with fd 1 on devnull the interpreter's last flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
         code = 141 if isinstance(exc, BrokenPipeError) else 2

@@ -1,5 +1,6 @@
 import argparse
 import gc
+import gettext
 import json
 import os
 import random
@@ -671,6 +672,21 @@ def test_act_builds_none_of_the_verify_check_parsers(monkeypatch, capsys):
     assert built == commands + [f"div2 verify {check}" for check in ("lemma", "parity", "search", "matching")]
 
 
+def test_no_parser_looks_up_its_help_line_through_gettext(monkeypatch, capsys):
+    # every parser adds its own -h action with argparse's text, so argparse never translates that text
+    looked_up = []
+    real = gettext.dgettext
+    monkeypatch.setattr(gettext, "dgettext", lambda domain, message: looked_up.append(message) or real(domain, message))
+    assert main(["act", "r", "5"]) == 0
+    assert main(["verify", "parity", "--k", "1", "--N", "2"]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "search", "--help"])
+    assert err.value.code == 0
+    assert "show this help message and exit" in capsys.readouterr().out
+    assert "options" in looked_up  # the patch sees argparse's lookups
+    assert "show this help message and exit" not in looked_up
+
+
 def test_a_parser_parses_the_same_command_twice():
     # the arguments are added at the first parse only: argparse rejects an option string added twice
     parser = build_parser()
@@ -757,7 +773,7 @@ def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance, tmp
         inst = {"X": [label], "Y": ["b"], "map": [[[label, 0], ["b", 0]], [[label, 1], ["b", 1]]]}
         return write(tmp_path, f"{ord(label)}.json", inst)
 
-    with open("/dev/full", "w") as full:
+    with open("/dev/full", "w") as full, open(os.devnull) as read_only:
         cases = [
             (["act", "r", "5"], {"stdout": full}),
             (["divide", "--in", large_instance], {"stdout": full}),
@@ -774,6 +790,18 @@ def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance, tmp
             assert proc.stderr.startswith("error: stdout: "), (argv, proc.stderr)
             assert "Traceback" not in proc.stderr
             assert not proc.stdout
+        # a stderr that cannot be written drops the error line, which goes neither to stdout nor into the exit code
+        quiet = [
+            # fd 2 closed before the interpreter starts, so sys.stderr is None: a malformed command and a usage error
+            (["act", "x", "5"], {"preexec_fn": lambda: os.close(2)}),
+            (["act"], {"preexec_fn": lambda: os.close(2)}),
+            # a write to fd 2 fails with EBADF, as after ``2>&-`` from a shell, or with ENOSPC
+            (["act", "x", "5"], {"stderr": read_only}),
+            (["act", "x", "5"], {"stderr": full}),
+        ]
+        for argv, kwargs in quiet:
+            proc = subprocess.run([sys.executable, "-m", "div2", *argv], env=CHILD_ENV, stdout=subprocess.PIPE, text=True, **kwargs)
+            assert (proc.returncode, proc.stdout) == (2, ""), argv
 
 
 def test_an_interrupt_exits_130_quietly():
