@@ -2,10 +2,11 @@
 
 Exit codes: 0 for success, 1 when a verification finds a result that should
 be impossible, 2 for malformed input of any kind, a run out of memory or a
-failed write to stdout (a full disk, a closed stdout, or text that stdout's
-encoding cannot hold), 130 when the user interrupts the run, and 141 when
-the reader of stdout closes it early.  Every ``error:`` line goes through
-``_error``, which drops it when stderr is closed or full; the code stays.
+failed write to stdout, ``--help``'s included (a full disk, a closed stdout,
+or text that stdout's encoding cannot hold), 130 when the user interrupts
+the run, and 141 when the reader of stdout closes it early.  Every
+``error:`` line goes through ``_error``, which drops it when stderr is
+closed or full; the code stays.
 
 ``json`` is imported on first use, by a command that reads a file, takes a
 JSON ``--chi`` or prints ``--json``.  ``act`` and ``theta`` with a threshold
@@ -19,13 +20,13 @@ building the parser (``--help`` too) load none of them.  ``act`` loads
 ``sequences``.  ``verify lemma``, ``parity`` and ``search`` load
 ``localrules``, ``dihedral`` and ``sequences``.
 
-``build_parser`` makes the ``div2`` parser and one parser per command with
-its help line.  A command's own arguments, and for ``verify`` its checks'
-parsers, are added when argparse dispatches to that parser, so a run builds
-those of the command it runs and no other.  Every parser adds its own
-``-h`` action with argparse's help text, which argparse would otherwise look
-up through ``gettext`` once per parser.  The help width is still read from
-the terminal once per build.
+``build_parser`` makes the ``div2`` parser, with its ``-h`` action, and one
+empty parser per command with its help line.  A command's ``-h`` and own
+arguments, and for ``verify`` its checks' parsers, are added when argparse
+dispatches to that parser, so a run builds those of the command it runs and
+no other.  Every parser adds its ``-h`` itself, with argparse's help text,
+which argparse would otherwise look up through ``gettext`` once per parser.
+The help width is still read from the terminal once per build.
 """
 
 from __future__ import annotations
@@ -269,28 +270,41 @@ _HELP = "show this help message and exit"
 class _CommandParser(argparse.ArgumentParser):
     """A div2 parser, which gets its arguments when argparse first dispatches to it.
 
-    Every parser, the top-level ``div2`` one included, adds its own ``-h,
-    --help`` action here, with argparse's text, where argparse would look
-    that text up through ``gettext`` for each parser built.
-
     argparse's subparsers action calls the chosen parser's ``parse_known_args``,
-    and that runs ``fill(self)`` once, before it parses: the parsers of the
-    commands not run never get theirs.  ``fill`` returns the function the
-    command runs, or None for ``verify``, whose checks are parsers of their own.
-    The top-level ``div2`` parser has no ``fill``.
+    and that adds the ``-h, --help`` action and runs ``fill(self)`` once,
+    before it parses: the parsers of the commands not run never get theirs.
+    ``fill`` returns the function the command runs, or None for ``verify``,
+    whose checks are parsers of their own.  The top-level ``div2`` parser has
+    no ``fill`` and adds its ``-h`` when built.  Any parser that prints help,
+    usage or an error has added its ``-h`` first, so that text is argparse's.
+
+    Every parser adds its ``-h`` itself, with argparse's text, where argparse
+    would look that text up through ``gettext`` for each parser built.
     """
 
     def __init__(self, *, fill=None, **kwargs):
         super().__init__(add_help=False, **kwargs)
-        self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS, help=_HELP)
         self._fill = fill
+        if fill is None:
+            self._add_help()
+
+    def _add_help(self):
+        self.add_argument("-h", "--help", action="help", default=argparse.SUPPRESS, help=_HELP)
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:  # argparse drops a failed write, from 3.11 on; run must see this one to exit 2
+            file.write(message)
+        else:
+            super()._print_message(message, file)
 
     def parse_known_args(self, args=None, namespace=None):
         fill, self._fill = self._fill, None  # once: argparse rejects an option string added twice
-        if fill is not None and (func := fill(self)) is not None:
-            # added last, so that every usage line and --help lists it after the command's own options
-            self.add_argument("--json", action="store_true")
-            self.set_defaults(func=func)
+        if fill is not None:
+            self._add_help()  # first, as argparse adds it
+            if (func := fill(self)) is not None:
+                # added last, so that every usage line and --help lists it after the command's own options
+                self.add_argument("--json", action="store_true")
+                self.set_defaults(func=func)
         return super().parse_known_args(args, namespace)
 
 
@@ -364,11 +378,11 @@ def _matching_arguments(p):
 def build_parser() -> argparse.ArgumentParser:
     """The ``div2`` parser, with one parser per command that gets its arguments when it parses.
 
-    A command's arguments are added when argparse dispatches to its parser
-    (``_CommandParser``), not here.  The help width is read from the terminal
-    once, when the parser is built, and every parser filled later formats at
-    that width: argparse would ask again for every help formatter it makes,
-    and it computes the same width.
+    A command's arguments and its ``-h`` are added when argparse dispatches
+    to its parser (``_CommandParser``), not here.  The help width is read
+    from the terminal once, when the parser is built, and every parser filled
+    later formats at that width: argparse would ask again for every help
+    formatter it makes, and it computes the same width.
     """
     # what HelpFormatter computes itself when it is given no width
     formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
@@ -446,7 +460,10 @@ def run() -> None:
     try:
         if sys.stdout is None:  # fd 1 was closed at start-up, so print would drop the output
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's exit after --help or a usage error: its help still needs the flush
+            code = exc.code
         sys.stdout.flush()
     except (OSError, UnicodeEncodeError) as exc:
         # a reader that stopped early gets 141 = 128 + SIGPIPE, what a shell reports for a writer that the pipe
@@ -458,6 +475,10 @@ def run() -> None:
         code = 141 if isinstance(exc, BrokenPipeError) else 2
     except KeyboardInterrupt:
         code = 130  # 128 + SIGINT
+    try:
+        sys.stderr.flush()
+    except OSError:  # a closed or full stderr still holds the error line that _error or argparse could not write
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 2)
     raise SystemExit(code)
 
 

@@ -647,11 +647,27 @@ def test_a_parser_build_reads_the_terminal_size_once(monkeypatch, capsys):
 
 
 def test_a_parser_build_adds_no_command_arguments():
-    # a command's arguments are added when argparse dispatches to its parser
-    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    assert list(commands.choices) == ["act", "theta", "trace", "divide", "verify"]
-    for name, command in commands.choices.items():
-        assert [a.dest for a in command._actions] == ["help"], name
+    # a command's arguments, and its -h, are added when argparse dispatches to its parser
+    parser = build_parser()
+    assert [a.dest for a in parser._actions] == ["help", "command"]
+    commands = parser._actions[1].choices
+    assert list(commands) == ["act", "theta", "trace", "divide", "verify"]
+    for name, command in commands.items():
+        assert command._actions == [], name
+
+
+def test_a_run_adds_the_help_action_of_each_parser_it_dispatches_to(monkeypatch, capsys):
+    added = []
+    init = argparse._HelpAction.__init__
+    monkeypatch.setattr(argparse._HelpAction, "__init__", lambda self, *a, **kw: added.append(self) or init(self, *a, **kw))
+    build_parser()
+    assert len(added) == 1  # the div2 parser's
+    added.clear()
+    assert main(["act", "r", "5"]) == 0
+    assert len(added) == 2  # div2 and div2 act
+    added.clear()
+    assert main(["verify", "search", "--w", "3", "--d", "7"]) == 0
+    assert len(added) == 3  # div2, div2 verify and div2 verify search
 
 
 def test_act_builds_none_of_the_verify_check_parsers(monkeypatch, capsys):
@@ -773,10 +789,18 @@ def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance, tmp
         inst = {"X": [label], "Y": ["b"], "map": [[[label, 0], ["b", 0]], [[label, 1], ["b", 1]]]}
         return write(tmp_path, f"{ord(label)}.json", inst)
 
+    # a failed write raises at once with PYTHONUNBUFFERED set, and only when the stream is flushed without it
+    buffered = {k: v for k, v in CHILD_ENV.items() if k != "PYTHONUNBUFFERED"}
+    unbuffered = dict(CHILD_ENV, PYTHONUNBUFFERED="1")
     with open("/dev/full", "w") as full, open(os.devnull) as read_only:
         cases = [
             (["act", "r", "5"], {"stdout": full}),
             (["divide", "--in", large_instance], {"stdout": full}),
+            # argparse prints the help and exits through SystemExit
+            (["--help"], {"stdout": full, "env": buffered}),
+            (["--help"], {"stdout": full, "env": unbuffered}),
+            (["verify", "search", "--help"], {"stdout": full, "env": buffered}),
+            (["verify", "search", "--help"], {"stdout": full, "env": unbuffered}),
             # a lone surrogate is valid JSON but no UTF-8, and "é" is no ASCII
             (["divide", "--in", instance("\ud800")], {"stdout": subprocess.PIPE}),
             (["divide", "--in", instance("é")], {"stdout": subprocess.PIPE, "env": dict(CHILD_ENV, PYTHONIOENCODING="ascii")}),
@@ -798,9 +822,12 @@ def test_a_failed_stdout_write_exits_two_without_a_traceback(large_instance, tmp
             # a write to fd 2 fails with EBADF, as after ``2>&-`` from a shell, or with ENOSPC
             (["act", "x", "5"], {"stderr": read_only}),
             (["act", "x", "5"], {"stderr": full}),
+            # the line stays in stderr's buffer for the interpreter's last flush: an error line and a usage error
+            (["act", "x", "5"], {"stderr": full, "env": buffered}),
+            (["act"], {"stderr": full, "env": buffered}),
         ]
         for argv, kwargs in quiet:
-            proc = subprocess.run([sys.executable, "-m", "div2", *argv], env=CHILD_ENV, stdout=subprocess.PIPE, text=True, **kwargs)
+            proc = subprocess.run([sys.executable, "-m", "div2", *argv], **{"env": CHILD_ENV, **kwargs}, stdout=subprocess.PIPE, text=True)
             assert (proc.returncode, proc.stdout) == (2, ""), argv
 
 
