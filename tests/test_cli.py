@@ -647,13 +647,28 @@ def test_a_parser_build_reads_the_terminal_size_once(monkeypatch, capsys):
 
 
 def test_a_parser_build_adds_no_command_arguments():
-    # a command's arguments, and its -h, are added when argparse dispatches to its parser
+    # a command's parser is initialized, and gets its arguments and -h, when argparse dispatches to it
     parser = build_parser()
     assert [a.dest for a in parser._actions] == ["help", "command"]
     commands = parser._actions[1].choices
     assert list(commands) == ["act", "theta", "trace", "divide", "verify"]
     for name, command in commands.items():
-        assert command._actions == [], name
+        # read through vars, which no attribute hook sees: ArgumentParser.__init__ has set none of these
+        assert isinstance(command, argparse.ArgumentParser), name
+        assert not {"prog", "_actions", "_registries", "_action_groups"} & vars(command).keys(), name
+
+
+def record_parser_inits(monkeypatch):
+    """The ``prog`` of each parser whose ``ArgumentParser.__init__`` runs from now on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def record(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
+    return built
 
 
 def test_a_run_adds_the_help_action_of_each_parser_it_dispatches_to(monkeypatch, capsys):
@@ -670,22 +685,28 @@ def test_a_run_adds_the_help_action_of_each_parser_it_dispatches_to(monkeypatch,
     assert len(added) == 3  # div2, div2 verify and div2 verify search
 
 
+CHECKS = [f"div2 verify {check}" for check in ("lemma", "parity", "search", "matching")]
+
+
 def test_act_builds_none_of_the_verify_check_parsers(monkeypatch, capsys):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def record(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self.prog)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", record)
-    commands = ["div2", "div2 act", "div2 theta", "div2 trace", "div2 divide", "div2 verify"]
+    # a run initializes the div2 parser and the command parser argparse dispatches to; verify initializes its
+    # four check parsers when it is dispatched to
+    built = record_parser_inits(monkeypatch)
     assert main(["act", "r", "5"]) == 0
     assert capsys.readouterr().out == "-5\n"
-    assert built == commands
+    assert built == ["div2", "div2 act"]
     built.clear()
     assert main(["verify", "parity", "--k", "1", "--N", "2"]) == 0
-    assert built == commands + [f"div2 verify {check}" for check in ("lemma", "parity", "search", "matching")]
+    assert built == ["div2", "div2 verify", *CHECKS]
+    built.clear()
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    assert "{act,theta,trace,divide,verify}" in capsys.readouterr().out
+    assert built == ["div2"]
+    built.clear()
+    build_parser()
+    assert built == ["div2"]
 
 
 def test_no_parser_looks_up_its_help_line_through_gettext(monkeypatch, capsys):
@@ -703,8 +724,10 @@ def test_no_parser_looks_up_its_help_line_through_gettext(monkeypatch, capsys):
     assert "show this help message and exit" not in looked_up
 
 
-def test_a_parser_parses_the_same_command_twice():
-    # the arguments are added at the first parse only: argparse rejects an option string added twice
+def test_a_parser_parses_the_same_command_twice(monkeypatch):
+    # each parser is initialized, and its arguments added, at its first parse only: argparse rejects an option
+    # string added twice
+    built = record_parser_inits(monkeypatch)
     parser = build_parser()
     first = parser.parse_args(["verify", "search", "--w", "3", "--d", "7"])
     second = parser.parse_args(["verify", "search", "--w", "4", "--d", "9", "--json"])
@@ -713,6 +736,33 @@ def test_a_parser_parses_the_same_command_twice():
     assert first.func is second.func
     words = [parser.parse_args(["act", word, "--json"]).word for word in ("r", "tT")]
     assert words == ["r", "tT"]
+    assert parser.parse_args(["verify", "parity", "--k", "1", "--N", "2"]).check == "parity"
+    assert built == ["div2", "div2 verify", *CHECKS, "div2 act"]
+
+
+# the div2 parser's usage line, which lists every command from its subparsers action's choices
+DIV2_USAGE = "usage: div2 [-h] {act,theta,trace,divide,verify} ...\n"
+COMMANDS = "(choose from 'act', 'theta', 'trace', 'divide', 'verify')"
+USAGE_ERRORS = {
+    "act r 5 extra": DIV2_USAGE + "div2: error: unrecognized arguments: extra\n",
+    "act tr 5 -- 7": DIV2_USAGE + "div2: error: unrecognized arguments: 7\n",
+    "-- act r 5": DIV2_USAGE + f"div2: error: argument command: invalid choice: '--' {COMMANDS}\n",
+    "bogus": DIV2_USAGE + f"div2: error: argument command: invalid choice: 'bogus' {COMMANDS}\n",
+    "verify bogus": "usage: div2 verify [-h] {lemma,parity,search,matching} ...\n"
+    "div2 verify: error: argument check: invalid choice: 'bogus' (choose from 'lemma', 'parity', 'search', 'matching')\n",
+}
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_a_usage_error_after_a_dispatch_lists_every_command(monkeypatch, capsys, command):
+    # the parser that reports the error has dispatched to one command, or none, and still lists them all
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as err:
+        main(command.split())
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == USAGE_ERRORS[command]
 
 
 def search_help(monkeypatch, capsys, columns):
